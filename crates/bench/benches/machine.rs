@@ -1,8 +1,9 @@
 //! Raw simulator overhead: block transfers per second, plain vs
 //! round-based machines, the flash replay path — and, since the
 //! pluggable-store refactor, the same block-I/O loops per storage
-//! backend (vec vs arena vs ghost), which is where the arena's buffer
-//! reuse and the ghost store's payload elision show up as wall-clock.
+//! backend (vec vs ghost vs trace), which is where the ghost store's
+//! payload elision and the trace recorder's overhead show up as
+//! wall-clock.
 //!
 //! `--json PATH` additionally writes the backend comparison (ops/sec per
 //! backend plus the quick-sweep wall time per backend) as a JSON

@@ -1,5 +1,5 @@
 //! T4: Lemma 4.3 flash simulation. `--quick` shrinks the sweep;
-//! `--backend {vec,arena,ghost}` picks the storage backend.
+//! `--backend {vec,ghost,trace}` picks the storage backend.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

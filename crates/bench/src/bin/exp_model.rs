@@ -1,5 +1,5 @@
 //! F3: ARAM ≡ (M,1,ω)-AEM. `--quick` shrinks the sweep;
-//! `--backend {vec,arena,ghost}` picks the storage backend.
+//! `--backend {vec,ghost,trace}` picks the storage backend.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

@@ -1,5 +1,5 @@
 //! T9/T9b/T9G: buffered priority queue and replacement-selection run
-//! generation. `--quick` shrinks the sweep; `--backend {vec,arena,ghost}`
+//! generation. `--quick` shrinks the sweep; `--backend {vec,ghost,trace}`
 //! picks the storage backend.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -12,7 +12,7 @@
 //!   --fresh         truncate the cache before running
 //!   --only IDS      comma-separated experiment-id prefixes (e.g. t1,f5)
 //!   --stats         print the engine's timing/utilization table (stderr)
-//!   --backend NAME  storage backend: vec (default), arena, or ghost
+//!   --backend NAME  storage backend: vec (default), ghost, or trace
 //! ```
 //!
 //! The markdown/CSV document on stdout is deterministic: byte-identical

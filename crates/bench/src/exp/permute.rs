@@ -587,9 +587,9 @@ mod tests {
         // checked here at table granularity: the ghost backend renders the
         // shared payload-oblivious sweep exactly as the copying backends.
         let vec_t = t5n(true, Backend::Vec).run_serial().to_markdown();
-        let arena_t = t5n(true, Backend::Arena).run_serial().to_markdown();
+        let trace_t = t5n(true, Backend::Trace).run_serial().to_markdown();
         let ghost_t = t5n(true, Backend::Ghost).run_serial().to_markdown();
-        assert_eq!(vec_t, arena_t);
+        assert_eq!(vec_t, trace_t);
         assert_eq!(vec_t, ghost_t);
         assert!(!vec_t.contains("FAIL"));
     }

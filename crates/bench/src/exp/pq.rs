@@ -302,15 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn arena_renders_identically_to_vec() {
+    fn trace_renders_identically_to_vec() {
         let vec_tables = tables(true, Backend::Vec);
-        let arena_tables = tables(true, Backend::Arena);
-        assert_eq!(vec_tables.len(), arena_tables.len());
-        for (v, a) in vec_tables.iter().zip(&arena_tables) {
+        let trace_tables = tables(true, Backend::Trace);
+        assert_eq!(vec_tables.len(), trace_tables.len());
+        for (v, t) in vec_tables.iter().zip(&trace_tables) {
             assert_eq!(
                 v.to_markdown(),
-                a.to_markdown(),
-                "{} diverges on arena",
+                t.to_markdown(),
+                "{} diverges on trace",
                 v.id
             );
         }

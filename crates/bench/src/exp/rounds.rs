@@ -9,10 +9,7 @@
 
 use aem_core::permute::by_sort::DestTagged;
 use aem_core::sort::{em_merge_sort, merge_sort};
-use aem_machine::{
-    AemAccess, AemConfig, ArenaStore, Backend, BlockStore, MachineCore, Region, RoundBasedMachine,
-    VecStore,
-};
+use aem_machine::{AemAccess, AemConfig, Backend, Machine, Region, RoundBasedMachine};
 use aem_workloads::{KeyDist, PermKind};
 
 use crate::sweep::{Cell, CellOut, Sweep};
@@ -20,11 +17,13 @@ use crate::table::{ratio, Table};
 
 /// All round-based sweeps. T3 compares sorted outputs between the plain
 /// and round-based executions, so the ghost backend runs none of them.
+/// The round wrapper runs on vec storage, so the payload-carrying
+/// backends (vec, trace) run the same cells.
 pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     if !backend.carries_payload() {
         return Vec::new();
     }
-    vec![t3(quick, backend)]
+    vec![t3(quick)]
 }
 
 /// All round-based tables (serial execution of [`sweeps`]).
@@ -77,21 +76,15 @@ impl Algo for ScanCopy {
     }
 }
 
-/// Run an algorithm on both machines over one concrete store pair; return
-/// (Q, Q', rounds, equal).
-fn both_on<G, S, A>(cfg: AemConfig, input: &[u64], algo: &G) -> (u64, u64, u64, bool)
-where
-    G: Algo,
-    S: BlockStore<u64>,
-    A: BlockStore<u64>,
-{
-    let mut plain: MachineCore<u64, S, A> = MachineCore::new(cfg);
+/// Run an algorithm on both machines; return (Q, Q', rounds, equal).
+fn both<G: Algo>(cfg: AemConfig, input: &[u64], algo: &G) -> (u64, u64, u64, bool) {
+    let mut plain: Machine<u64> = Machine::new(cfg);
     let r = plain.install(input);
     let out_p = algo.run(&mut plain, r);
     let got_p = plain.inspect(out_p);
     let q = plain.cost().q(cfg.omega);
 
-    let mut rb: RoundBasedMachine<u64, S, A> = RoundBasedMachine::new(cfg);
+    let mut rb: RoundBasedMachine<u64> = RoundBasedMachine::new(cfg);
     let r = rb.install(input);
     let out_r = algo.run(&mut rb, r);
     let stats = rb.finish().expect("finish");
@@ -99,33 +92,9 @@ where
     (q, stats.cost.q(cfg.omega), stats.rounds, got_p == got_r)
 }
 
-/// [`both_on`] dispatched over the payload-carrying backends. The macro
-/// dispatch cannot name the two coupled machine types here, so this is a
-/// plain turbofish match.
-fn both<G: Algo>(
-    backend: Backend,
-    cfg: AemConfig,
-    input: &[u64],
-    algo: &G,
-) -> (u64, u64, u64, bool) {
-    match backend {
-        // The trace backend wraps vec-semantics storage, so the round
-        // sweeps run it on the same store pair as vec.
-        Backend::Vec | Backend::Trace => {
-            both_on::<G, VecStore<u64>, VecStore<u64>>(cfg, input, algo)
-        }
-        Backend::Arena => both_on::<G, ArenaStore<u64>, ArenaStore<u64>>(cfg, input, algo),
-        Backend::Ghost => unreachable!("round sweeps are not built for ghost"),
-    }
-}
-
 /// Permuting by sorting runs on a (dest, value)-typed machine; it gets
 /// its own cell body rather than the [`Algo`] trait.
-fn both_permute_on<S, A>(cfg: AemConfig, input: &[u64], n: usize) -> (u64, u64, u64, bool)
-where
-    S: BlockStore<DestTagged<u64>>,
-    A: BlockStore<u64>,
-{
+fn both_permute(cfg: AemConfig, input: &[u64], n: usize) -> (u64, u64, u64, bool) {
     let pi = PermKind::Random { seed: 31 }.generate(n);
     let tagged: Vec<DestTagged<u64>> = input
         .iter()
@@ -135,13 +104,13 @@ where
             value: *v,
         })
         .collect();
-    let mut plain: MachineCore<DestTagged<u64>, S, A> = MachineCore::new(cfg);
+    let mut plain: Machine<DestTagged<u64>> = Machine::new(cfg);
     let r = plain.install(&tagged);
     let out = merge_sort(&mut plain, r).expect("sort");
     let got_p: Vec<u64> = plain.inspect(out).into_iter().map(|t| t.value).collect();
     let q = plain.cost().q(cfg.omega);
 
-    let mut rb: RoundBasedMachine<DestTagged<u64>, S, A> = RoundBasedMachine::new(cfg);
+    let mut rb: RoundBasedMachine<DestTagged<u64>> = RoundBasedMachine::new(cfg);
     let r = rb.install(&tagged);
     let out = merge_sort(&mut rb, r).expect("sort");
     let stats = rb.finish().expect("finish");
@@ -149,26 +118,8 @@ where
     (q, stats.cost.q(cfg.omega), stats.rounds, got_p == got_r)
 }
 
-/// [`both_permute_on`] dispatched over the payload-carrying backends.
-fn both_permute(
-    backend: Backend,
-    cfg: AemConfig,
-    input: &[u64],
-    n: usize,
-) -> (u64, u64, u64, bool) {
-    match backend {
-        Backend::Vec | Backend::Trace => {
-            both_permute_on::<VecStore<DestTagged<u64>>, VecStore<u64>>(cfg, input, n)
-        }
-        Backend::Arena => {
-            both_permute_on::<ArenaStore<DestTagged<u64>>, ArenaStore<u64>>(cfg, input, n)
-        }
-        Backend::Ghost => unreachable!("round sweeps are not built for ghost"),
-    }
-}
-
 /// T3: the Lemma 4.1 constant, measured.
-pub fn t3(quick: bool, backend: Backend) -> Sweep {
+pub fn t3(quick: bool) -> Sweep {
     let cfg = AemConfig::new(64, 8, 8).unwrap();
     let n = if quick { 1 << 11 } else { 1 << 14 };
     let pack = |name: &str, (q, q2, rounds, equal): (u64, u64, u64, bool)| {
@@ -182,19 +133,19 @@ pub fn t3(quick: bool, backend: Backend) -> Sweep {
     let cells = vec![
         Cell::new("aem-sort", move || {
             let input = KeyDist::Uniform { seed: 30 }.generate(n);
-            pack(AemSort.name(), both(backend, cfg, &input, &AemSort))
+            pack(AemSort.name(), both(cfg, &input, &AemSort))
         }),
         Cell::new("em-sort", move || {
             let input = KeyDist::Uniform { seed: 30 }.generate(n);
-            pack(EmSort.name(), both(backend, cfg, &input, &EmSort))
+            pack(EmSort.name(), both(cfg, &input, &EmSort))
         }),
         Cell::new("scan-copy", move || {
             let input = KeyDist::Uniform { seed: 30 }.generate(n);
-            pack(ScanCopy.name(), both(backend, cfg, &input, &ScanCopy))
+            pack(ScanCopy.name(), both(cfg, &input, &ScanCopy))
         }),
         Cell::new("permute-by-sorting", move || {
             let input = KeyDist::Uniform { seed: 30 }.generate(n);
-            pack("permute by sorting", both_permute(backend, cfg, &input, n))
+            pack("permute by sorting", both_permute(cfg, &input, n))
         }),
     ];
     Sweep::new("T3", cells, move |outs| {
@@ -238,17 +189,10 @@ mod tests {
 
     #[test]
     fn t3_passes() {
-        let t = t3(true, Backend::Vec).run_serial();
+        let t = t3(true).run_serial();
         assert_eq!(t.rows.len(), 4);
         for n in &t.notes {
             assert!(!n.contains("FAIL"), "{}", n);
         }
-    }
-
-    #[test]
-    fn t3_arena_matches_vec() {
-        let v = t3(true, Backend::Vec).run_serial();
-        let a = t3(true, Backend::Arena).run_serial();
-        assert_eq!(v.to_markdown(), a.to_markdown());
     }
 }

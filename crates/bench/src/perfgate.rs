@@ -49,7 +49,7 @@ pub fn direction_of(metric: &str) -> Direction {
 /// The verdict for one `(backend, metric)` pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricVerdict {
-    /// Backend name (`vec`/`arena`/`ghost`).
+    /// Backend name (`vec`/`ghost`/`trace`).
     pub backend: String,
     /// Metric name, e.g. `scan_copy_elems_per_sec`.
     pub metric: String,

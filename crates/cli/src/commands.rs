@@ -17,7 +17,7 @@ use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
 use aem_flash::driver::naive_atom_permutation;
 use aem_flash::verify_lemma_4_3;
 use aem_fuzz::{DistKind, FuzzCase, FuzzOptions};
-use aem_machine::{AemAccess, AemConfig, Backend, Cost, Machine};
+use aem_machine::{AemAccess, AemConfig, Backend, Cost, Machine, Region};
 use aem_obs::{
     render_markdown, render_text, run_all, tail_from_record, InstrumentedMachine, Profile,
     ProfileHarness, RunRecord, WorkloadMeta,
@@ -93,6 +93,19 @@ fn cost_line(label: &str, cost: Cost, omega: u64) -> String {
     )
 }
 
+/// Run the sorter `which` (`aem|em|dist|heap|pq`) on any machine.
+fn run_sorter<A: AemAccess<u64>>(which: &str, m: &mut A, r: Region) -> Result<Region, String> {
+    match which {
+        "aem" => merge_sort(m, r),
+        "em" => em_merge_sort(m, r),
+        "dist" => distribution_sort(m, r),
+        "heap" => heap_sort(m, r),
+        "pq" => sort_via_pq(m, r),
+        other => return Err(format!("unknown --algo '{other}' (aem|em|dist|heap|pq)")),
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// `aemsim sort` — run one (or all) sorter on a generated workload.
 pub fn cmd_sort(args: &Args) -> Result<String, String> {
     let cfg = machine_config(args)?;
@@ -108,15 +121,7 @@ pub fn cmd_sort(args: &Args) -> Result<String, String> {
     let mut run = |name: &str, which: &str| -> Result<(), String> {
         let mut m: Machine<u64> = Machine::new(cfg);
         let r = m.install(&input);
-        let sorted = match which {
-            "aem" => merge_sort(&mut m, r),
-            "em" => em_merge_sort(&mut m, r),
-            "dist" => distribution_sort(&mut m, r),
-            "heap" => heap_sort(&mut m, r),
-            "pq" => sort_via_pq(&mut m, r),
-            _ => unreachable!(),
-        }
-        .map_err(|e| e.to_string())?;
+        let sorted = run_sorter(which, &mut m, r)?;
         let got = m.inspect(sorted);
         if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
             return Err(format!("{name}: output verification failed"));
@@ -150,15 +155,7 @@ pub fn cmd_sort(args: &Args) -> Result<String, String> {
         let which = if algo == "all" { "aem" } else { algo };
         let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
         let r = im.inner_mut().install(&input);
-        let sorted = match which {
-            "aem" => merge_sort(&mut im, r),
-            "em" => em_merge_sort(&mut im, r),
-            "dist" => distribution_sort(&mut im, r),
-            "heap" => heap_sort(&mut im, r),
-            "pq" => sort_via_pq(&mut im, r),
-            _ => unreachable!(),
-        }
-        .map_err(|e| e.to_string())?;
+        let sorted = run_sorter(which, &mut im, r)?;
         let got = im.inner().inspect(sorted);
         if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
             return Err(format!("{which}: output verification failed"));
@@ -452,14 +449,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, String> {
     let mut m: Machine<u64> = Machine::new(cfg);
     let r = m.install(&input);
     m.start_trace();
-    match algo {
-        "aem" => drop(merge_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "em" => drop(em_merge_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "dist" => drop(distribution_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "heap" => drop(heap_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "pq" => drop(sort_via_pq(&mut m, r).map_err(|e| e.to_string())?),
-        other => return Err(format!("unknown --algo '{other}' (aem|em|dist|heap|pq)")),
-    }
+    run_sorter(algo, &mut m, r)?;
     let trace = m.take_trace().ok_or("no trace recorded")?;
     let stats = trace.stats();
     let rounds = round_decompose(&trace, cfg);
@@ -472,14 +462,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, String> {
         // machine trace above has no phase spans).
         let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
         let r = im.inner_mut().install(&input);
-        match algo {
-            "aem" => drop(merge_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "em" => drop(em_merge_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "dist" => drop(distribution_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "heap" => drop(heap_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "pq" => drop(sort_via_pq(&mut im, r).map_err(|e| e.to_string())?),
-            _ => unreachable!(),
-        }
+        run_sorter(algo, &mut im, r)?;
         let rec = im.into_record(WorkloadMeta::new("sort", algo, n as u64));
         extra = export_record(path, &rec)?;
     }
@@ -575,7 +558,7 @@ pub fn cmd_pq(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parse the `--backend {vec,arena,ghost,trace}` option (default: vec).
+/// Parse the `--backend {vec,ghost,trace}` option (default: vec).
 fn parse_backend(args: &Args) -> Result<aem_machine::Backend, String> {
     match args.get("backend") {
         None => Ok(aem_machine::Backend::Vec),
@@ -786,10 +769,11 @@ fn profile_record(
     // schedule routes on data refuse it (the registry says which).
     if !backend.carries_payload() && !ctx.algo.ghost_runnable {
         return Err(format!(
-            "profile {}/{} {}; use --backend vec|arena",
+            "profile {}/{} {}; use --backend {}",
             kind.name(),
             ctx.algo.name,
-            ctx.algo.ghost_note
+            ctx.algo.ghost_note,
+            Backend::names(Backend::carries_payload, "|")
         ));
     }
     let p = run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
@@ -1538,6 +1522,30 @@ mod tests {
         // Missing/unknown operand.
         assert!(run("profile").is_err());
         assert!(run("profile bogus --n 64 --mem 64 --block 8").is_err());
+    }
+
+    #[test]
+    fn backend_errors_name_exactly_the_backends_that_parse() {
+        // Each error's list parses back, name by name, to the backends it
+        // should offer: the payload-carrying ones, or all of them.
+        let parse_all = |list: &str, sep: &str| -> Vec<Backend> {
+            list.split(sep)
+                .map(|name| Backend::from_name(name).unwrap())
+                .collect()
+        };
+        let err = run("profile permute --n 512 --mem 64 --block 8 --backend ghost").unwrap_err();
+        let (_, hint) = err.rsplit_once("use --backend ").expect(&err);
+        let payload: Vec<Backend> = Backend::ALL
+            .into_iter()
+            .filter(|b| b.carries_payload())
+            .collect();
+        assert_eq!(parse_all(hint, "|"), payload, "{err}");
+
+        let err = run("fuzz --seed 1 --iters 1 --backend arena").unwrap_err();
+        assert!(err.contains("unknown backend 'arena'"), "{err}");
+        let (_, list) = err.rsplit_once("(expected ").expect(&err);
+        let list = list.strip_suffix(')').expect(&err);
+        assert_eq!(parse_all(list, ", "), Backend::ALL, "{err}");
     }
 
     #[test]

@@ -124,11 +124,10 @@ impl<T, A: InstallExt<T> + ?Sized> InstallExt<T> for &mut A {
     }
 }
 
-impl<T, S, A> InstallExt<T> for aem_machine::MachineCore<T, S, A>
+impl<T, S> InstallExt<T> for aem_machine::MachineCore<T, S>
 where
     T: Clone,
     S: aem_machine::BlockStore<T>,
-    A: aem_machine::BlockStore<u64>,
 {
     fn install_atoms(&mut self, data: &[T]) -> Region {
         self.install(data)
@@ -141,11 +140,10 @@ impl<T: Clone> InstallExt<T> for aem_machine::TraceMachine<T> {
     }
 }
 
-impl<T, S, A> InstallExt<T> for aem_machine::RoundBasedMachine<T, S, A>
+impl<T, S> InstallExt<T> for aem_machine::RoundBasedMachine<T, S>
 where
     T: Clone,
     S: aem_machine::BlockStore<T>,
-    A: aem_machine::BlockStore<u64>,
 {
     fn install_atoms(&mut self, data: &[T]) -> Region {
         self.install(data)

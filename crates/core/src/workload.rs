@@ -25,8 +25,8 @@
 use std::fmt;
 
 use aem_machine::{
-    AemAccess, AemConfig, ArenaMachine, Backend, BlockStore, Cost, GhostMachine, Machine,
-    MachineCore, MachineError, Region, TraceMachine,
+    AemAccess, AemConfig, Backend, BlockStore, Cost, GhostMachine, Machine, MachineCore,
+    MachineError, Region, TraceMachine,
 };
 use aem_workloads::{
     graph_instance, matmul_instance, perm, scan_instance, search_instance, Conformation, KeyDist,
@@ -625,11 +625,10 @@ pub trait WorkloadMachine<T>: AemAccess<T> + InstallExt<T> {
     fn payload_real(&self) -> bool;
 }
 
-impl<T, S, A> WorkloadMachine<T> for MachineCore<T, S, A>
+impl<T, S> WorkloadMachine<T> for MachineCore<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     fn inspect_region(&self, r: Region) -> Vec<T> {
         self.inspect(r)
@@ -1035,7 +1034,6 @@ pub fn visit_backend<T: Payload, V: MachineVisitor<T>>(
 ) -> V::Out {
     match backend {
         Backend::Vec => v.visit(Machine::<T>::new(cfg)),
-        Backend::Arena => v.visit(ArenaMachine::<T>::new(cfg)),
         Backend::Ghost => v.visit(GhostMachine::<T>::new(cfg)),
         Backend::Trace => v.visit(TraceMachine::<T>::new(cfg)),
     }

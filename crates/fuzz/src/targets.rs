@@ -399,8 +399,8 @@ fn flash_check(case: &FuzzCase, _backend: Backend) -> Outcome {
 /// program, every backend, identical metered [`Cost`] — and identical
 /// output wherever the store actually carries payloads. Two program
 /// families per case: the §3 mergesort across the payload-carrying
-/// backends (vec, arena, trace), and the payload-oblivious naive
-/// permuter across all four (including ghost). The trace backend
+/// backends (vec, trace), and the payload-oblivious naive permuter
+/// across all three (including ghost). The trace backend
 /// additionally checks the compiled-schedule invariant: replaying the
 /// recorded schedule as pure arithmetic must reproduce the live meter
 /// exactly. This target ignores the session's `--backend`; it *is* the
@@ -411,10 +411,10 @@ fn backend_diff_check(case: &FuzzCase, _backend: Backend) -> Outcome {
         Err(e) => return Outcome::Skip(format!("config: {e}")),
     };
 
-    // Mergesort: vec vs arena vs trace, cost and output.
+    // Mergesort: vec vs trace, cost and output.
     let input = case.keys();
     let mut sort_runs: Vec<(Backend, Vec<u64>, Cost)> = Vec::new();
-    for b in [Backend::Vec, Backend::Arena, Backend::Trace] {
+    for b in [Backend::Vec, Backend::Trace] {
         let run = with_payload_machine!(b, u64, |M| {
             let mut m = M::new(cfg);
             let r = m.install(&input);
@@ -562,10 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn all_targets_pass_on_the_arena_backend() {
+    fn all_targets_pass_on_the_trace_backend() {
         let case = tame_case();
         for t in all_targets() {
-            let outcome = t.run(&case, Backend::Arena);
+            let outcome = t.run(&case, Backend::Trace);
             assert_eq!(outcome, Outcome::Pass, "{}: {:?}", t.name, outcome);
         }
     }

@@ -29,10 +29,9 @@
 //!   [`AemAccess`] trait so they run unmodified on instrumentation wrappers.
 //! * [`MachineCore`] / [`BlockStore`] — the meter behind [`Machine`],
 //!   generic over pluggable storage backends: the copying [`VecStore`]
-//!   (default), the buffer-recycling [`ArenaStore`] ([`ArenaMachine`]) and
-//!   the cost-only [`GhostStore`] ([`GhostMachine`]), which carries no data
-//!   payload and lets pure cost sweeps scale `N` by two orders of
-//!   magnitude. See [`store`] for when each backend is sound.
+//!   (default) and the cost-only [`GhostStore`] ([`GhostMachine`]), which
+//!   carries no data payload and lets pure cost sweeps scale `N` by two
+//!   orders of magnitude. See [`store`] for when each backend is sound.
 //! * [`AtomMachine`] — the *move-semantics* machine of §4.2 of the paper,
 //!   used for the lower-bound machinery: elements are indivisible **atoms**,
 //!   a read chooses the subset of atoms to keep (destroying their external
@@ -104,7 +103,7 @@ pub use compiled::{CompiledTrace, TraceMachine, TraceOp};
 pub use config::AemConfig;
 pub use cost::{Cost, IoCounter};
 pub use error::{MachineError, Result};
-pub use machine::{AemAccess, ArenaMachine, GhostMachine, Machine, MachineCore};
+pub use machine::{AemAccess, GhostMachine, Machine, MachineCore};
 pub use rounds::RoundBasedMachine;
-pub use store::{ArenaStore, Backend, BlockStore, GhostStore, VecStore};
+pub use store::{Backend, BlockStore, GhostStore, VecStore};
 pub use trace::{IoEvent, Trace, TraceStats};

@@ -9,9 +9,8 @@
 //! the §2 cost meter, the internal-memory ledger and trace recording,
 //! generic over a [`BlockStore`] that decides what payload movement costs
 //! *the simulator* (not the model). [`Machine`] is the copying default;
-//! [`ArenaMachine`] recycles buffers; [`GhostMachine`] carries no data
-//! payload at all and exists to push cost sweeps to `N` two orders of
-//! magnitude larger.
+//! [`GhostMachine`] carries no data payload at all and exists to push cost
+//! sweeps to `N` two orders of magnitude larger.
 //!
 //! ## Semantics
 //!
@@ -38,7 +37,7 @@ use crate::config::AemConfig;
 use crate::cost::{Cost, IoCounter};
 use crate::error::{MachineError, Result};
 use crate::external::ExternalMemory;
-use crate::store::{ArenaStore, Backend, BlockStore, GhostStore};
+use crate::store::{Backend, BlockStore, GhostStore};
 use crate::trace::{IoEvent, Trace};
 
 /// Uniform access interface to an AEM machine.
@@ -242,14 +241,14 @@ impl<T, M: AemAccess<T> + ?Sized> AemAccess<T> for &mut M {
 ///
 /// Implements the §2 cost measure exactly: reading a block charges 1,
 /// writing a block charges `ω` (via [`Cost::q`]), and internal memory is
-/// capacity-enforced at `M` elements. `S` stores data payloads, `A` stores
-/// auxiliary machine words; both default to the copying [`ExternalMemory`]
-/// so [`Machine`] behaves exactly as it always has.
+/// capacity-enforced at `M` elements. `S` stores data payloads and
+/// defaults to the copying [`ExternalMemory`]; auxiliary machine words
+/// always live in a copying store, because they steer control flow.
 #[derive(Debug)]
-pub struct MachineCore<T, S = ExternalMemory<T>, A = ExternalMemory<u64>> {
+pub struct MachineCore<T, S = ExternalMemory<T>> {
     cfg: AemConfig,
     data: S,
-    aux: A,
+    aux: ExternalMemory<u64>,
     internal_used: usize,
     counter: IoCounter,
     trace: Option<Trace>,
@@ -275,10 +274,6 @@ pub struct MachineCore<T, S = ExternalMemory<T>, A = ExternalMemory<u64>> {
 /// ```
 pub type Machine<T> = MachineCore<T>;
 
-/// [`MachineCore`] over [`ArenaStore`]: identical semantics and cost to
-/// [`Machine`], zero per-I/O allocation in steady state.
-pub type ArenaMachine<T> = MachineCore<T, ArenaStore<T>, ArenaStore<u64>>;
-
 /// [`MachineCore`] over a cost-only [`GhostStore`] for data and a *real*
 /// [`ExternalMemory`] for auxiliary words.
 ///
@@ -287,13 +282,12 @@ pub type ArenaMachine<T> = MachineCore<T, ArenaStore<T>, ArenaStore<u64>>;
 /// algorithms which spill metadata keep working. Cost equality with
 /// [`Machine`] holds only for payload-oblivious workloads — see
 /// [`crate::store`] for the soundness argument.
-pub type GhostMachine<T> = MachineCore<T, GhostStore<T>, ExternalMemory<u64>>;
+pub type GhostMachine<T> = MachineCore<T, GhostStore<T>>;
 
-impl<T, S, A> MachineCore<T, S, A>
+impl<T, S> MachineCore<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     /// A fresh machine.
     pub fn new(cfg: AemConfig) -> Self {
@@ -305,7 +299,7 @@ where
         Self {
             cfg,
             data: S::new_store(cfg.block),
-            aux: A::new_store(cfg.block),
+            aux: ExternalMemory::new_store(cfg.block),
             internal_used: 0,
             counter,
             trace: None,
@@ -369,12 +363,6 @@ where
         self.data.allocated()
     }
 
-    /// Direct access to the data store (backend-specific telemetry such as
-    /// [`ArenaStore::free_buffers`]).
-    pub fn data_store(&self) -> &S {
-        &self.data
-    }
-
     /// Return the machine to its post-construction state — meter at zero,
     /// ledger empty, no blocks allocated, any active trace cleared — while
     /// *recycling* the stores' buffers ([`BlockStore::wipe`]): repeated
@@ -430,11 +418,10 @@ where
     }
 }
 
-impl<T, S, A> AemAccess<T> for MachineCore<T, S, A>
+impl<T, S> AemAccess<T> for MachineCore<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     fn cfg(&self) -> AemConfig {
         self.cfg
@@ -815,17 +802,17 @@ mod tests {
     fn backends_agree_on_cost_ledger_and_errors() {
         let c = cfg();
         let vec_run = scripted(Machine::<u32>::new(c));
-        let arena_run = scripted(ArenaMachine::<u32>::new(c));
+        let trace_run = scripted(crate::TraceMachine::<u32>::new(c));
         let ghost_run = scripted(GhostMachine::<u32>::new(c));
-        assert_eq!(vec_run.0, arena_run.0);
+        assert_eq!(vec_run.0, trace_run.0);
         assert_eq!(vec_run.0, ghost_run.0);
-        assert_eq!(vec_run.1, arena_run.1);
+        assert_eq!(vec_run.1, trace_run.1);
         assert_eq!(vec_run.1, ghost_run.1);
-        assert_eq!(vec_run.2, arena_run.2);
+        assert_eq!(vec_run.2, trace_run.2);
         assert_eq!(vec_run.2, ghost_run.2);
         // Full payload equality for the payload-carrying backends; length
         // equality for ghost.
-        assert_eq!(vec_run.3, arena_run.3);
+        assert_eq!(vec_run.3, trace_run.3);
         assert_eq!(vec_run.3.len(), ghost_run.3.len());
     }
 
@@ -876,7 +863,7 @@ mod tests {
         fn start_rec(&mut self);
         fn take_rec(&mut self) -> Vec<IoEvent>;
     }
-    impl<T: Clone, S: BlockStore<T>, A: BlockStore<u64>> TraceRecording for MachineCore<T, S, A> {
+    impl<T: Clone, S: BlockStore<T>> TraceRecording for MachineCore<T, S> {
         fn start_rec(&mut self) {
             self.start_trace();
         }
@@ -949,21 +936,6 @@ mod tests {
         assert_eq!(m.read_aux_block(ar.block(0)).unwrap(), vec![7, 8, 9]);
         assert_eq!(GhostMachine::<u32>::backend(), Backend::Ghost);
         assert_eq!(Machine::<u32>::backend(), Backend::Vec);
-        assert_eq!(ArenaMachine::<u32>::backend(), Backend::Arena);
-    }
-
-    #[test]
-    fn arena_machine_recycles_buffers() {
-        let mut m: ArenaMachine<u32> = ArenaMachine::new(cfg());
-        let r = m.install(&[0; 16]);
-        let out = m.alloc_region(16);
-        for i in 0..4 {
-            let b = m.read_block(r.block(i)).unwrap();
-            m.write_block(out.block(i), b).unwrap();
-        }
-        // Each write displaced one (empty) buffer into the pool; each read
-        // drained one. The pool ends balanced and non-aliasing.
-        assert!(m.data_store().free_buffers() <= 4);
     }
 
     #[test]

@@ -133,12 +133,12 @@ pub struct RoundStats {
 ///
 /// Generic over the same storage backends as [`MachineCore`] (defaulting
 /// to the copying store), so Lemma 4.1 measurements run unchanged on the
-/// arena and ghost backends.
+/// ghost backend.
 #[derive(Debug)]
-pub struct RoundBasedMachine<T, S = ExternalMemory<T>, A = ExternalMemory<u64>> {
+pub struct RoundBasedMachine<T, S = ExternalMemory<T>> {
     /// The algorithm-visible configuration (`M`).
     algo_cfg: AemConfig,
-    inner: MachineCore<T, S, A>,
+    inner: MachineCore<T, S>,
     /// Buffered data-block writes of the current round (`M''`).
     buf_data: HashMap<usize, Vec<T>>,
     /// Buffered auxiliary-block writes of the current round (also `M''`).
@@ -151,11 +151,10 @@ pub struct RoundBasedMachine<T, S = ExternalMemory<T>, A = ExternalMemory<u64>> 
     rounds: u64,
 }
 
-impl<T, S, A> RoundBasedMachine<T, S, A>
+impl<T, S> RoundBasedMachine<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     /// Wrap a fresh machine; the algorithm sees `cfg`, the inner machine has
     /// `2M` internal memory as granted by Lemma 4.1.
@@ -256,11 +255,10 @@ where
     }
 }
 
-impl<T, S, A> AemAccess<T> for RoundBasedMachine<T, S, A>
+impl<T, S> AemAccess<T> for RoundBasedMachine<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     fn cfg(&self) -> AemConfig {
         self.algo_cfg
@@ -391,11 +389,10 @@ where
     }
 }
 
-impl<T, S, A> RoundBasedMachine<T, S, A>
+impl<T, S> RoundBasedMachine<T, S>
 where
     T: Clone,
     S: BlockStore<T>,
-    A: BlockStore<u64>,
 {
     /// The algorithm's own footprint must respect the *original* capacity
     /// `M`: Lemma 4.1 grants the doubled memory to the simulation (`M''`),
@@ -423,15 +420,14 @@ impl<T: Clone> RoundBasedMachine<T> {
 #[cfg(test)]
 mod backend_tests {
     use super::*;
-    use crate::store::{ArenaStore, GhostStore};
+    use crate::store::GhostStore;
 
-    /// Block-reversal workload; structural, so all three backends must
+    /// Block-reversal workload; structural, so both backends must
     /// agree on cost and round count.
-    fn reverse_blocks<T2, S, A>(rb: &mut RoundBasedMachine<T2, S, A>, input: &[T2]) -> RoundStats
+    fn reverse_blocks<T2, S>(rb: &mut RoundBasedMachine<T2, S>, input: &[T2]) -> RoundStats
     where
         T2: Clone,
         S: BlockStore<T2>,
-        A: BlockStore<u64>,
     {
         let rin = rb.install(input);
         let rout = rb.alloc_region(input.len());
@@ -448,14 +444,9 @@ mod backend_tests {
         let c = AemConfig::new(16, 4, 4).unwrap();
         let input: Vec<u32> = (0..32).rev().collect();
         let mut on_vec: RoundBasedMachine<u32> = RoundBasedMachine::new(c);
-        let mut on_arena: RoundBasedMachine<u32, ArenaStore<u32>, ArenaStore<u64>> =
-            RoundBasedMachine::new(c);
-        let mut on_ghost: RoundBasedMachine<u32, GhostStore<u32>, ExternalMemory<u64>> =
-            RoundBasedMachine::new(c);
+        let mut on_ghost: RoundBasedMachine<u32, GhostStore<u32>> = RoundBasedMachine::new(c);
         let sv = reverse_blocks(&mut on_vec, &input);
-        let sa = reverse_blocks(&mut on_arena, &input);
         let sg = reverse_blocks(&mut on_ghost, &input);
-        assert_eq!(sv, sa);
         assert_eq!(sv, sg);
     }
 }

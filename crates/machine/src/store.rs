@@ -9,11 +9,6 @@
 //!   [`ExternalMemory`]): every read clones the block into a fresh `Vec`.
 //!   The default, and the reference behavior every other backend is
 //!   differentially tested against.
-//! * [`ArenaStore`] — identical semantics, but recycled buffers: writes
-//!   move the incoming `Vec` into the block slot and push the displaced
-//!   buffer onto a free list, reads pop a pooled buffer instead of
-//!   allocating. In steady state the read→write cycle of a streaming
-//!   algorithm allocates nothing.
 //! * [`GhostStore`] — cost-only: tracks each block's *occupancy* but
 //!   carries no payload, so sweeps that only need `Q_r`/`Q_w` run at `N`
 //!   two orders of magnitude beyond what the copying stores afford. Reads
@@ -38,14 +33,12 @@ use crate::error::{MachineError, Result};
 use crate::external::ExternalMemory;
 
 /// The storage backend a machine runs on — the user-facing selector behind
-/// `--backend {vec,arena,ghost,trace}`.
+/// `--backend {vec,ghost,trace}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Copying semantics ([`VecStore`]); the default.
     #[default]
     Vec,
-    /// Buffer-recycling semantics ([`ArenaStore`]).
-    Arena,
     /// Cost-only semantics ([`GhostStore`]).
     Ghost,
     /// Copying semantics plus schedule recording
@@ -56,33 +49,44 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in canonical order.
-    pub const ALL: [Backend; 4] = [Backend::Vec, Backend::Arena, Backend::Ghost, Backend::Trace];
+    pub const ALL: [Backend; 3] = [Backend::Vec, Backend::Ghost, Backend::Trace];
 
     /// The stable lowercase name used in CLI flags and cache keys.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Vec => "vec",
-            Backend::Arena => "arena",
             Backend::Ghost => "ghost",
             Backend::Trace => "trace",
         }
     }
 
-    /// Parse a CLI flag value.
+    /// Parse a CLI flag value. The error names every backend in
+    /// [`Backend::ALL`].
     pub fn from_name(name: &str) -> std::result::Result<Self, String> {
-        match name {
-            "vec" => Ok(Backend::Vec),
-            "arena" => Ok(Backend::Arena),
-            "ghost" => Ok(Backend::Ghost),
-            "trace" => Ok(Backend::Trace),
-            other => Err(format!(
-                "unknown backend '{other}' (expected vec, arena, ghost or trace)"
-            )),
-        }
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .ok_or_else(|| {
+                format!(
+                    "unknown backend '{name}' (expected {})",
+                    Backend::names(|_| true, ", ")
+                )
+            })
+    }
+
+    /// The names of the backends in [`Backend::ALL`] that satisfy `keep`,
+    /// joined by `sep`.
+    pub fn names(keep: impl Fn(Backend) -> bool, sep: &str) -> String {
+        let names: Vec<&str> = Backend::ALL
+            .into_iter()
+            .filter(|&b| keep(b))
+            .map(Backend::name)
+            .collect();
+        names.join(sep)
     }
 
     /// `true` for backends whose reads return the actual stored payload
-    /// (vec, arena, trace) rather than placeholders (ghost).
+    /// (vec, trace) rather than placeholders (ghost).
     /// Output-equality assertions must be gated on this.
     pub fn carries_payload(self) -> bool {
         !matches!(self, Backend::Ghost)
@@ -324,205 +328,6 @@ fn check_run(first: BlockId, count: usize, allocated: usize) -> Result<()> {
     Ok(())
 }
 
-/// Buffer-recycling backend: same observable semantics as [`VecStore`],
-/// zero per-I/O allocation in steady state.
-///
-/// A write *moves* the caller's `Vec` into the block slot and pushes the
-/// displaced buffer (cleared, capacity kept) onto a free list; a read pops
-/// a pooled buffer and copies the block into it. Streaming algorithms that
-/// alternate reads and writes therefore cycle a fixed set of buffers. The
-/// free list holds only buffers whose contents have been dropped — the
-/// `arena_freelist_never_aliases_live_blocks` property test audits (by
-/// pointer identity) that no pooled buffer is ever also a live block.
-#[derive(Debug, Clone)]
-pub struct ArenaStore<T> {
-    block_size: usize,
-    blocks: Vec<Vec<T>>,
-    pool: Vec<Vec<T>>,
-}
-
-impl<T> ArenaStore<T> {
-    fn check(&self, id: BlockId) -> Result<()> {
-        if id.index() >= self.blocks.len() {
-            Err(MachineError::BadBlock {
-                block: id.index(),
-                allocated: self.blocks.len(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn pooled_buf(&mut self) -> Vec<T> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Buffers currently parked on the free list (test/bench telemetry).
-    pub fn free_buffers(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Pointer-identity audit access: the backing buffer of every live
-    /// block, for the no-aliasing property test.
-    pub fn block_ptrs(&self) -> Vec<*const T> {
-        self.blocks.iter().map(|b| b.as_ptr()).collect()
-    }
-
-    /// Pointer-identity audit access: every pooled (free) buffer.
-    pub fn pool_ptrs(&self) -> Vec<*const T> {
-        self.pool.iter().map(|b| b.as_ptr()).collect()
-    }
-
-    /// Capacities of pooled buffers, aligned with [`ArenaStore::pool_ptrs`]
-    /// (capacity-0 buffers share the dangling pointer and must be exempt
-    /// from identity checks).
-    pub fn pool_capacities(&self) -> Vec<usize> {
-        self.pool.iter().map(|b| b.capacity()).collect()
-    }
-
-    /// Capacities of live block buffers, aligned with
-    /// [`ArenaStore::block_ptrs`].
-    pub fn block_capacities(&self) -> Vec<usize> {
-        self.blocks.iter().map(|b| b.capacity()).collect()
-    }
-}
-
-impl<T: Clone> BlockStore<T> for ArenaStore<T> {
-    const BACKEND: Backend = Backend::Arena;
-
-    fn new_store(block_size: usize) -> Self {
-        assert!(block_size >= 1, "block size must be at least 1");
-        ArenaStore {
-            block_size,
-            blocks: Vec::new(),
-            pool: Vec::new(),
-        }
-    }
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-    fn allocated(&self) -> usize {
-        self.blocks.len()
-    }
-    fn alloc(&mut self) -> BlockId {
-        let buf = self.pooled_buf();
-        self.blocks.push(buf);
-        BlockId(self.blocks.len() - 1)
-    }
-    fn alloc_region(&mut self, elems: usize) -> Region {
-        let nblocks = elems.div_ceil(self.block_size);
-        let first = self.blocks.len();
-        for _ in 0..nblocks {
-            let buf = self.pooled_buf();
-            self.blocks.push(buf);
-        }
-        Region {
-            first,
-            blocks: nblocks,
-            elems,
-        }
-    }
-    fn occupancy(&self, id: BlockId) -> Result<usize> {
-        self.check(id)?;
-        Ok(self.blocks[id.index()].len())
-    }
-    fn read(&mut self, id: BlockId) -> Result<Vec<T>> {
-        self.check(id)?;
-        let mut buf = self.pooled_buf();
-        buf.extend_from_slice(&self.blocks[id.index()]);
-        Ok(buf)
-    }
-    fn read_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
-        self.check(id)?;
-        buf.clear();
-        buf.extend_from_slice(&self.blocks[id.index()]);
-        Ok(buf.len())
-    }
-    fn write(&mut self, id: BlockId, data: Vec<T>) -> Result<()> {
-        if data.len() > self.block_size {
-            return Err(MachineError::BlockOverflow {
-                len: data.len(),
-                block: self.block_size,
-            });
-        }
-        self.check(id)?;
-        let mut old = std::mem::replace(&mut self.blocks[id.index()], data);
-        old.clear();
-        self.pool.push(old);
-        Ok(())
-    }
-    fn wipe(&mut self) {
-        // Every live buffer goes back on the free list cleared, preserving
-        // the no-aliasing invariant the property test audits.
-        for mut buf in self.blocks.drain(..) {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
-    fn install(&mut self, data: &[T]) -> Region {
-        let region = self.alloc_region(data.len());
-        for (i, chunk) in data.chunks(self.block_size).enumerate() {
-            let slot = &mut self.blocks[region.first + i];
-            slot.clear();
-            slot.extend_from_slice(chunk);
-        }
-        region
-    }
-    fn inspect(&self, region: Region) -> Vec<T> {
-        let mut out = Vec::with_capacity(region.elems);
-        for id in region.iter() {
-            out.extend_from_slice(&self.blocks[id.index()]);
-        }
-        out
-    }
-    fn inspect_block(&self, id: BlockId) -> Result<Vec<T>> {
-        self.check(id)?;
-        Ok(self.blocks[id.index()].clone())
-    }
-    fn resident_elems(&self) -> usize {
-        self.blocks.iter().map(|b| b.len()).sum()
-    }
-    fn read_run(&mut self, first: BlockId, count: usize, buf: &mut Vec<T>) -> Result<usize> {
-        check_run(first, count, self.blocks.len())?;
-        buf.clear();
-        for block in &self.blocks[first.index()..first.index() + count] {
-            buf.extend_from_slice(block);
-        }
-        Ok(buf.len())
-    }
-    fn write_run(&mut self, first: BlockId, data: &[T]) -> Result<usize> {
-        let blocks = data.len().div_ceil(self.block_size);
-        check_run(first, blocks, self.blocks.len())?;
-        // Bulk writes reuse each slot's buffer in place (clear + copy):
-        // same observable payload and occupancy as the per-block write
-        // loop, without cycling buffers through the free list.
-        for (i, chunk) in data.chunks(self.block_size).enumerate() {
-            let slot = &mut self.blocks[first.index() + i];
-            slot.clear();
-            slot.extend_from_slice(chunk);
-        }
-        Ok(blocks)
-    }
-    fn run_occupancy(&self, first: BlockId, count: usize) -> Result<usize> {
-        check_run(first, count, self.blocks.len())?;
-        Ok(self.blocks[first.index()..first.index() + count]
-            .iter()
-            .map(|b| b.len())
-            .sum())
-    }
-    fn read_into_charged<F>(&mut self, id: BlockId, buf: &mut Vec<T>, charge: F) -> Result<usize>
-    where
-        F: FnOnce(usize) -> Result<()>,
-    {
-        self.check(id)?;
-        let block = &self.blocks[id.index()];
-        charge(block.len())?;
-        buf.clear();
-        buf.extend_from_slice(block);
-        Ok(block.len())
-    }
-}
-
 /// Cost-only backend: per-block occupancy, no payload.
 ///
 /// Reads return `vec![T::default(); occupancy]` so element *counts* (and
@@ -689,11 +494,6 @@ macro_rules! with_backend_machine {
                 type $M = $crate::Machine<$t>;
                 $body
             }
-            $crate::Backend::Arena => {
-                #[allow(non_camel_case_types)]
-                type $M = $crate::ArenaMachine<$t>;
-                $body
-            }
             $crate::Backend::Ghost => {
                 #[allow(non_camel_case_types)]
                 type $M = $crate::GhostMachine<$t>;
@@ -709,7 +509,7 @@ macro_rules! with_backend_machine {
 }
 
 /// Like [`with_backend_machine!`] but only for the payload-carrying
-/// backends (vec, arena, trace); the ghost arm evaluates `$ghost` instead.
+/// backends (vec, trace); the ghost arm evaluates `$ghost` instead.
 /// Use when the element type has no `Default` or the workload is not
 /// payload-oblivious.
 #[macro_export]
@@ -719,11 +519,6 @@ macro_rules! with_payload_machine {
             $crate::Backend::Vec => {
                 #[allow(non_camel_case_types)]
                 type $M = $crate::Machine<$t>;
-                $body
-            }
-            $crate::Backend::Arena => {
-                #[allow(non_camel_case_types)]
-                type $M = $crate::ArenaMachine<$t>;
                 $body
             }
             $crate::Backend::Ghost => $ghost,
@@ -759,15 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_and_arena_agree_on_contents() {
-        let (vec_out, vec_res, vec_errs) = drive::<VecStore<u32>>();
-        let (arena_out, arena_res, arena_errs) = drive::<ArenaStore<u32>>();
-        assert_eq!(vec_out, arena_out);
-        assert_eq!(vec_res, arena_res);
-        assert_eq!(vec_errs, arena_errs);
-    }
-
-    #[test]
     fn ghost_agrees_on_shape_and_errors() {
         let (vec_out, vec_res, vec_errs) = drive::<VecStore<u32>>();
         let (ghost_out, ghost_res, ghost_errs) = drive::<GhostStore<u32>>();
@@ -777,27 +563,15 @@ mod tests {
     }
 
     #[test]
-    fn arena_write_recycles_the_displaced_buffer() {
-        let mut s: ArenaStore<u32> = BlockStore::new_store(4);
-        let r = s.install(&[1, 2, 3, 4]);
-        assert_eq!(s.free_buffers(), 0);
-        let buf = BlockStore::read(&mut s, r.block(0)).unwrap();
-        s.write(r.block(0), buf).unwrap();
-        // The displaced original buffer is now pooled, cleared.
-        assert_eq!(s.free_buffers(), 1);
-        let next = BlockStore::read(&mut s, r.block(0)).unwrap();
-        assert_eq!(next, vec![1, 2, 3, 4]);
-        assert_eq!(s.free_buffers(), 0);
-    }
-
-    #[test]
     fn backend_names_round_trip() {
         for b in Backend::ALL {
             assert_eq!(Backend::from_name(b.name()), Ok(b));
         }
-        assert!(Backend::from_name("slab").is_err());
+        assert_eq!(
+            Backend::from_name("slab"),
+            Err("unknown backend 'slab' (expected vec, ghost, trace)".to_string())
+        );
         assert!(Backend::Vec.carries_payload());
-        assert!(Backend::Arena.carries_payload());
         assert!(!Backend::Ghost.carries_payload());
         assert!(Backend::Trace.carries_payload());
     }
@@ -823,17 +597,14 @@ mod tests {
     #[test]
     fn bulk_runs_match_per_block_loops_across_stores() {
         let (vec_out, vec_occ, vec_err) = drive_bulk::<VecStore<u32>>();
-        let (arena_out, arena_occ, arena_err) = drive_bulk::<ArenaStore<u32>>();
         let (ghost_out, ghost_occ, ghost_err) = drive_bulk::<GhostStore<u32>>();
         assert_eq!(vec_out, (10..21).collect::<Vec<u32>>());
-        assert_eq!(vec_out, arena_out);
         assert_eq!(vec_out.len(), ghost_out.len());
         assert_eq!(vec_occ, vec![4, 4, 3]);
-        assert_eq!(vec_occ, arena_occ);
         assert_eq!(vec_occ, ghost_occ);
         // The run 1..4 exceeds the 3 allocated blocks; the offender the
         // per-block loop would hit first is block 3.
-        for err in [vec_err, arena_err, ghost_err] {
+        for err in [vec_err, ghost_err] {
             assert_eq!(
                 err,
                 MachineError::BadBlock {
@@ -861,18 +632,7 @@ mod tests {
     #[test]
     fn wipe_empties_every_store() {
         drive_wipe::<VecStore<u32>>();
-        drive_wipe::<ArenaStore<u32>>();
         drive_wipe::<GhostStore<u32>>();
-    }
-
-    #[test]
-    fn arena_wipe_pools_the_retired_buffers() {
-        let mut s: ArenaStore<u32> = BlockStore::new_store(4);
-        s.install(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        s.wipe();
-        assert_eq!(s.free_buffers(), 2, "both live buffers retired cleared");
-        s.install(&[9; 8]);
-        assert_eq!(s.free_buffers(), 0, "re-install drains the pool");
     }
 
     #[test]

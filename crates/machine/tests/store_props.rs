@@ -1,27 +1,18 @@
 //! Property tests of the storage-backend contract under random operation
-//! sequences (the backend counterpart of `machine_props.rs`):
-//!
-//! * the [`ArenaStore`] free list never aliases a live block — buffer
-//!   recycling must be invisible to clients, and a pooled buffer that is
-//!   simultaneously a block slot would let a later read scribble over
-//!   stored data;
-//! * the [`GhostStore`] machine accepts and rejects *exactly* the
-//!   operations the [`VecStore`] machine does, with the same
-//!   [`MachineError`] variant and the same meter — the contract that makes
-//!   cost-only ghost sweeps sound.
+//! sequences (the backend counterpart of `machine_props.rs`): the
+//! [`GhostStore`] machine accepts and rejects *exactly* the operations the
+//! [`VecStore`] machine does, with the same [`MachineError`] variant and
+//! the same meter — the contract that makes cost-only ghost sweeps sound.
 //!
 //! Randomness is the workspace's seeded [`SplitMix64`]; every case is
 //! deterministic and reproduces without an external shrinker.
 
-use aem_machine::{
-    AemAccess, AemConfig, ArenaMachine, ArenaStore, BlockId, BlockStore, GhostMachine, Machine,
-};
+use aem_machine::{AemAccess, AemConfig, BlockId, GhostMachine, Machine};
 use aem_workloads::SplitMix64;
 
-/// A random client action, mirrored verbatim onto two machines (or driven
-/// against one store). Indices intentionally run past the allocated range
-/// so the `BadBlock` paths are exercised, and write lengths run past `B`
-/// so `BlockOverflow` is too.
+/// A random client action, mirrored verbatim onto two machines. Indices
+/// intentionally run past the allocated range so the `BadBlock` paths are
+/// exercised, and write lengths run past `B` so `BlockOverflow` is too.
 #[derive(Debug, Clone, Copy)]
 enum Action {
     Read(usize),
@@ -36,126 +27,6 @@ fn random_action(rng: &mut SplitMix64) -> Action {
         1 => Action::WriteHeld(rng.next_below_usize(8), rng.next_below_usize(24)),
         2 => Action::Discard(rng.next_below_usize(8)),
         _ => Action::Reserve(rng.next_below_usize(8)),
-    }
-}
-
-/// No pooled (free) buffer is ever also the backing buffer of a live
-/// block, by pointer identity. Capacity-0 vectors all share the same
-/// dangling pointer, so only buffers with real allocations participate.
-fn audit_no_aliasing(store: &ArenaStore<u32>, case: u64, step: usize) {
-    let live: Vec<*const u32> = store
-        .block_ptrs()
-        .into_iter()
-        .zip(store.block_capacities())
-        .filter(|&(_, cap)| cap > 0)
-        .map(|(p, _)| p)
-        .collect();
-    let pooled: Vec<*const u32> = store
-        .pool_ptrs()
-        .into_iter()
-        .zip(store.pool_capacities())
-        .filter(|&(_, cap)| cap > 0)
-        .map(|(p, _)| p)
-        .collect();
-    for p in &pooled {
-        assert!(
-            !live.contains(p),
-            "case {case} step {step}: pooled buffer {p:?} aliases a live block"
-        );
-    }
-    // A buffer pooled twice would be handed out twice later — the
-    // use-after-free shape of this bug class.
-    let mut uniq = pooled.clone();
-    uniq.sort_unstable();
-    uniq.dedup();
-    assert_eq!(
-        uniq.len(),
-        pooled.len(),
-        "case {case} step {step}: duplicate buffer on the free list"
-    );
-}
-
-#[test]
-fn arena_freelist_never_aliases_live_blocks() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::seed_from_u64(0xa12e7a + case);
-        let n_actions = rng.next_below_usize(120);
-        let cfg = AemConfig::new(24, 4, 3).unwrap();
-        let mut m: ArenaMachine<u32> = ArenaMachine::new(cfg);
-        let region = m.install(&(0..48u32).collect::<Vec<_>>());
-        let mut held: usize = 0;
-
-        for step in 0..n_actions {
-            match random_action(&mut rng) {
-                Action::Read(i) => {
-                    if let Ok(data) = m.read_block(BlockId(i)) {
-                        held += data.len();
-                        // Dropping `data` here (instead of writing it back)
-                        // is deliberate: the pooled-buffer path must stay
-                        // sound even when clients leak read buffers.
-                        if m.discard(data.len()).is_err() {
-                            held -= data.len();
-                        }
-                    }
-                }
-                Action::WriteHeld(k, b) => {
-                    let k = k.min(held);
-                    if m.write_block(BlockId(b), vec![7u32; k]).is_ok() {
-                        held -= k;
-                    }
-                }
-                Action::Discard(k) => {
-                    if m.discard(k).is_ok() {
-                        held = held.saturating_sub(k);
-                    }
-                }
-                Action::Reserve(k) => {
-                    if m.reserve(k).is_ok() {
-                        held += k;
-                    }
-                }
-            }
-            audit_no_aliasing(m.data_store(), case, step);
-        }
-        // Inspect agrees with the per-block occupancies (random writes may
-        // legitimately have shrunk blocks; what recycling must never do is
-        // corrupt the mapping from blocks to their buffers).
-        let occupancy_sum: usize = region.iter().map(|id| m.block_len(id).unwrap()).sum();
-        assert_eq!(m.inspect(region).len(), occupancy_sum, "case {case}");
-    }
-}
-
-/// Raw-store variant: `read` pops pooled buffers and `write` pushes the
-/// displaced ones, the highest-churn path for the free list.
-#[test]
-fn arena_store_pool_cycles_without_aliasing() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::seed_from_u64(0x5704ab + case);
-        let n_actions = rng.next_below_usize(150);
-        let mut s: ArenaStore<u32> = BlockStore::new_store(4);
-        let r = s.install(&(0..40u32).collect::<Vec<_>>());
-        let mut outstanding: Vec<Vec<u32>> = Vec::new();
-
-        for step in 0..n_actions {
-            let blk = BlockId(rng.next_below_usize(r.blocks + 3));
-            match rng.next_below(3) {
-                0 => {
-                    if let Ok(buf) = BlockStore::read(&mut s, blk) {
-                        outstanding.push(buf);
-                    }
-                }
-                1 => {
-                    let data = outstanding
-                        .pop()
-                        .unwrap_or_else(|| vec![1; rng.next_below_usize(5)]);
-                    let _ = s.write(blk, data);
-                }
-                _ => {
-                    s.alloc();
-                }
-            }
-            audit_no_aliasing(&s, case, step);
-        }
     }
 }
 

@@ -41,8 +41,8 @@ impl Default for LoadOptions {
 
 /// Machine shapes the generator draws from. A small set on purpose: the
 /// collisions are what exercise the compiled-trace replay cache.
-const CONFIGS: [(usize, usize, u64); 3] = [(1024, 64, 16), (64, 8, 16), (512, 32, 4)];
-const SIZES: [usize; 5] = [256, 512, 1024, 2048, 4096];
+pub(crate) const CONFIGS: [(usize, usize, u64); 3] = [(1024, 64, 16), (64, 8, 16), (512, 32, 4)];
+pub(crate) const SIZES: [usize; 5] = [256, 512, 1024, 2048, 4096];
 
 fn connect(addr: &str) -> Result<TcpStream, String> {
     let mut last = String::new();

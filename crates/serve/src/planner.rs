@@ -13,14 +13,10 @@
 //!   config, n, seed)` cell can be re-priced by compiled-trace replay
 //!   instead of a fresh simulation — replay cost equals live cost by
 //!   contract, which keeps metering deterministic under cache races;
-//! * **vec**/**arena** for payload-carrying jobs (arena once the slab
-//!   recycling pays for itself).
+//! * **vec** for payload-carrying jobs.
 
 use crate::protocol::{JobKind, JobSpec};
 use aem_machine::{AemConfig, Backend, Cost};
-
-/// Payload-carrying jobs at or above this size run on the arena backend.
-pub const ARENA_THRESHOLD: usize = 4096;
 
 /// Where the service refuses to simulate: an element count above this is
 /// priceable (quotes are pure arithmetic) but not executable.
@@ -85,7 +81,6 @@ pub fn plan(spec: &JobSpec) -> Result<Plan, String> {
         }
         None if !spec.payload && ghost_sound(spec.kind, algo) => Backend::Ghost,
         None if !spec.payload => Backend::Trace,
-        None if spec.n >= ARENA_THRESHOLD => Backend::Arena,
         None => Backend::Vec,
     };
     Ok(Plan {
@@ -155,17 +150,18 @@ mod tests {
     }
 
     #[test]
-    fn payload_jobs_split_vec_arena_on_size() {
-        assert_eq!(
-            plan(&spec(JobKind::Sort, 256, true)).unwrap().backend,
-            Backend::Vec
-        );
-        assert_eq!(
-            plan(&spec(JobKind::Sort, ARENA_THRESHOLD, true))
-                .unwrap()
-                .backend,
-            Backend::Arena
-        );
+    fn payload_jobs_plan_to_vec_at_every_size() {
+        let sizes = crate::load::SIZES.into_iter().chain([MAX_EXEC_ELEMS]);
+        for n in sizes {
+            for kind in JobKind::ALL {
+                for (mem, block, omega) in crate::load::CONFIGS {
+                    let mut s = spec(kind, n, true);
+                    (s.mem, s.block, s.omega) = (mem, block, omega);
+                    let p = plan(&s).unwrap_or_else(|e| panic!("{kind} n={n}: {e}"));
+                    assert_eq!(p.backend, Backend::Vec, "{kind} n={n} M={mem}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -236,6 +236,36 @@ fn over_budget_jobs_queue_and_drain_on_topup() {
 }
 
 #[test]
+fn forcing_a_retired_backend_is_a_per_job_error() {
+    let mut h = boot("retired-backend", false);
+    let mut c = h.connect();
+    exchange(
+        &mut c,
+        &Request::Hello {
+            tenant: "carol".into(),
+            budget: 1_000_000,
+        },
+    )
+    .unwrap();
+
+    let mut forced = spec(1, JobKind::Sort, 256, true);
+    forced.backend = Some("arena".into());
+    match exchange(&mut c, &Request::Job(forced)).unwrap() {
+        Response::Rejected { id: 1, reason, .. } => assert!(
+            reason.contains("unknown backend 'arena' (expected vec, ghost, trace)"),
+            "{reason}"
+        ),
+        other => panic!("expected rejected, got {other:?}"),
+    }
+
+    // The connection and the server keep serving.
+    let r = exchange(&mut c, &Request::Job(spec(2, JobKind::Sort, 256, true))).unwrap();
+    assert!(matches!(&r, Response::Done(o) if o.id == 2), "{r:?}");
+    let summary = h.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+#[test]
 fn shutdown_frame_stops_the_server() {
     let mut h = boot("shutdown-frame", false);
     let mut c = h.connect();

@@ -2,7 +2,7 @@
 //! response variant, and rejection (never a panic) of truncated,
 //! oversized and malformed frames.
 
-use aem_machine::Cost;
+use aem_machine::{Backend, Cost};
 use aem_serve::protocol::{
     decode_frame, encode_frame, JobKind, JobOutcome, JobSpec, Request, Response, MAX_FRAME,
 };
@@ -36,7 +36,9 @@ fn rand_spec(rng: &mut SplitMix64) -> JobSpec {
         seed: rng.next_u64(),
         payload: rng.next_bool(),
         backend: if rng.next_bool() {
-            Some(["vec", "arena", "ghost", "trace"][rng.next_below_usize(4)].to_string())
+            // Every valid name plus one the planner must refuse.
+            let i = rng.next_below_usize(Backend::ALL.len() + 1);
+            Some(Backend::ALL.get(i).map_or("slab", |b| b.name()).to_string())
         } else {
             None
         },
