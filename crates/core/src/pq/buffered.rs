@@ -37,15 +37,13 @@
 //! Budget contract: as for [`crate::pq::ExternalPq`] — `push` charges one
 //! internal slot, `pop` returns the element still charged.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
 use crate::sort::merge_runs;
-
-/// Tagged element `(key, run id, position within run)`: a strict total
-/// order consistent with the key order, shared with the §3.1 merge.
-type Tagged<T> = (T, u32, u64);
+use crate::sort::round_buffer::{load_sorted_block, RoundBuffer, Tagged};
 
 /// Sizing of a [`BufferedPq`], derived from the machine configuration.
 ///
@@ -125,7 +123,9 @@ struct PqRun<T> {
 /// ```
 #[derive(Debug)]
 pub struct BufferedPq<T> {
-    insert_buf: Vec<T>,
+    /// A min-heap, so a pop reads its minimum without a scan; `flush`
+    /// sorts its contents anyway.
+    insert_buf: BinaryHeap<Reverse<T>>,
     /// Sorted ascending; always a prefix of the global external order.
     delete_buf: VecDeque<T>,
     runs: Vec<PqRun<T>>,
@@ -144,7 +144,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     pub fn new(cfg: AemConfig) -> Result<Self> {
         let params = PqParams::for_config(cfg)?;
         Ok(Self {
-            insert_buf: Vec::new(),
+            insert_buf: BinaryHeap::new(),
             delete_buf: VecDeque::new(),
             runs: Vec::new(),
             ptrs: None,
@@ -178,7 +178,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Insert an element (charges one internal slot until flushed).
     pub fn push<A: AemAccess<T>>(&mut self, machine: &mut A, x: T) -> Result<()> {
         machine.reserve(1)?;
-        self.insert_buf.push(x);
+        self.insert_buf.push(Reverse(x));
         self.len += 1;
         if self.insert_buf.len() >= self.params.insert_cap {
             self.flush(machine)?;
@@ -195,24 +195,15 @@ impl<T: Ord + Clone> BufferedPq<T> {
         if self.delete_buf.is_empty() && self.external_remaining() > 0 {
             self.refill(machine)?;
         }
-        let insert_min = self
-            .insert_buf
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.cmp(b))
-            .map(|(i, _)| i);
-        let take_insert = match (
-            insert_min.map(|i| &self.insert_buf[i]),
-            self.delete_buf.front(),
-        ) {
-            (Some(im), Some(dm)) => im <= dm,
+        let take_insert = match (self.insert_buf.peek(), self.delete_buf.front()) {
+            (Some(Reverse(im)), Some(dm)) => im <= dm,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => unreachable!("len > 0 but both buffers empty after refill"),
         };
         let x = if take_insert {
             // Charged at push time; the slot moves to the caller.
-            self.insert_buf.swap_remove(insert_min.expect("non-empty"))
+            self.insert_buf.pop().expect("non-empty").0
         } else {
             // Charged since its refill round; the slot moves to the caller.
             self.delete_buf.pop_front().expect("non-empty")
@@ -229,7 +220,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Flush the insert buffer — folded with the delete buffer, preserving
     /// the prefix invariant — into a fresh level-0 run, then restructure.
     fn flush<A: AemAccess<T>>(&mut self, machine: &mut A) -> Result<()> {
-        let mut data: Vec<T> = self.insert_buf.drain(..).collect();
+        let mut data: Vec<T> = self.insert_buf.drain().map(|Reverse(x)| x).collect();
         data.extend(self.delete_buf.drain(..));
         if data.is_empty() {
             return Ok(());
@@ -417,19 +408,27 @@ impl<T: Ord + Clone> BufferedPq<T> {
             Some(r) => r,
             None => return Ok(()),
         };
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
+        // The run holding each pointer slot, if live and not exhausted.
+        let mut run_at: Vec<Option<usize>> = vec![None; self.slots.len()];
+        for (i, run) in self.runs.iter().enumerate() {
+            if run.remaining > 0 {
+                run_at[run.slot] = Some(i);
+            }
+        }
+        // Sealed from the start: every run is probed after each of its
+        // blocks, so the buffer's maximum must be a plain read.
+        let mut sel: RoundBuffer<Tagged<T>> = RoundBuffer::new(cap);
+        sel.seal();
         for pb in 0..ptrs.blocks {
             let words = machine.read_aux_block(ptrs.block(pb))?;
             for (off, &p) in words.iter().enumerate() {
-                let slot = pb * b + off;
-                let Some(run) = self.runs.iter().find(|r| r.slot == slot && r.remaining > 0) else {
-                    continue;
-                };
-                scan_run(machine, run, p as usize, &mut sel, cap)?;
+                if let Some(i) = run_at[pb * b + off] {
+                    scan_run(machine, &self.runs[i], p as usize, &mut sel)?;
+                }
             }
             machine.discard(words.len())?;
         }
-        let batch = sel.into_sorted_vec();
+        let batch = sel.sorted();
         debug_assert!(
             batch.is_empty() == (self.external_remaining() == 0),
             "a refill makes progress whenever external elements remain"
@@ -437,39 +436,44 @@ impl<T: Ord + Clone> BufferedPq<T> {
         // Per-run consumption: the batch's elements of run i form a prefix
         // of its unconsumed elements (the selection keeps the globally
         // smallest, and runs are sorted), so the last one fixes the new
-        // boundary and block pointer.
-        let mut last_of: HashMap<u32, Tagged<T>> = HashMap::new();
-        let mut count_of: HashMap<u32, usize> = HashMap::new();
-        for t in &batch {
-            last_of.insert(t.1, t.clone()); // batch is sorted: later wins
-            *count_of.entry(t.1).or_insert(0) += 1;
+        // boundary and block pointer. Counted per run index, found by id.
+        let mut by_id: Vec<(u32, usize)> = (self.runs.iter().enumerate())
+            .map(|(i, r)| (r.id, i))
+            .collect();
+        by_id.sort_unstable();
+        let mut taken: Vec<(usize, usize)> = vec![(0, 0); self.runs.len()];
+        for (at, t) in batch.iter().enumerate() {
+            let k = by_id.binary_search_by_key(&t.1, |&(id, _)| id);
+            let i = by_id[k.expect("batch elements come from live runs")].1;
+            taken[i] = (taken[i].0 + 1, at); // batch is sorted: later wins
         }
-        let mut ptr_updates: HashMap<usize, u64> = HashMap::new();
-        for run in &mut self.runs {
-            let Some(last) = last_of.get(&run.id) else {
+        let mut new_ptr: Vec<Option<u64>> = vec![None; self.slots.len()];
+        for (run, &(count, at)) in self.runs.iter_mut().zip(&taken) {
+            if count == 0 {
                 continue;
-            };
-            run.remaining -= count_of[&run.id];
+            }
+            run.remaining -= count;
+            let last = &batch[at];
             let pos = last.2 as usize;
             let consumed_block = pos + 1 == run.region.elems || (pos + 1) % b == 0;
-            let new_ptr = if consumed_block { pos / b + 1 } else { pos / b } as u64;
+            let np = if consumed_block { pos / b + 1 } else { pos / b } as u64;
             run.boundary = Some(last.clone());
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
                 // left stale and reset when the slot is reused.
-                ptr_updates.insert(run.slot, new_ptr);
+                new_ptr[run.slot] = Some(np);
             }
         }
         // Rewrite dirty pointer blocks only; a pointer advances only when a
         // block of its run was consumed, keeping pointer writes O(n).
-        let mut touched: Vec<usize> = ptr_updates.keys().map(|s| s / b).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for pb in touched {
+        for (pb, updates) in new_ptr.chunks(b).enumerate() {
+            if updates.iter().all(Option::is_none) {
+                continue;
+            }
             let mut words = machine.read_aux_block(ptrs.block(pb))?;
             let mut dirty = false;
-            for (off, w) in words.iter_mut().enumerate() {
-                if let Some(&np) = ptr_updates.get(&(pb * b + off)) {
+            for (w, np) in words.iter_mut().zip(updates) {
+                if let Some(np) = *np {
                     if np > *w {
                         *w = np;
                         dirty = true;
@@ -494,7 +498,8 @@ impl<T: Ord + Clone> BufferedPq<T> {
                 true
             }
         });
-        self.delete_buf = batch.into_iter().map(|(x, _, _)| x).collect();
+        self.delete_buf
+            .extend(sel.drain_sorted().map(|(x, _, _)| x));
         Ok(())
     }
 }
@@ -507,40 +512,17 @@ fn scan_run<T, A>(
     machine: &mut A,
     run: &PqRun<T>,
     first_blk: usize,
-    sel: &mut BinaryHeap<Tagged<T>>,
-    cap: usize,
+    sel: &mut RoundBuffer<Tagged<T>>,
 ) -> Result<()>
 where
     T: Ord + Clone,
     A: AemAccess<T>,
 {
-    let b = machine.cfg().block;
+    let boundary = run.boundary.as_ref();
     for blk in first_blk..run.region.blocks {
-        let data = machine.read_block(run.region.block(blk))?;
-        let len = data.len();
-        let before = sel.len();
-        let mut block_max: Option<Tagged<T>> = None;
-        for (off, x) in data.into_iter().enumerate() {
-            let tag = (x, run.id, (blk * b + off) as u64);
-            block_max = Some(tag.clone()); // positions increase: last wins
-            if run.boundary.as_ref().map(|bd| tag <= *bd).unwrap_or(false) {
-                continue; // consumed in an earlier refill
-            }
-            if sel.len() < cap {
-                sel.push(tag);
-            } else if tag < *sel.peek().expect("cap >= 1") {
-                sel.pop();
-                sel.push(tag);
-            }
-        }
-        let retained = sel.len() - before;
-        machine.discard(len - retained)?;
-        if sel.len() >= cap {
-            if let (Some(mx), Some(top)) = (&block_max, sel.peek()) {
-                if mx > top {
-                    break;
-                }
-            }
+        let loaded = load_sorted_block(machine, &run.region, run.id, blk, boundary, sel)?;
+        if loaded.stopped || sel.max().is_some_and(|top| loaded.max > *top) {
+            break;
         }
     }
     Ok(())

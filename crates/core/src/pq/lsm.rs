@@ -75,6 +75,11 @@ impl<T: Ord + Clone> RunCursor<T> {
         Ok(Some(&self.head[self.next % b]))
     }
 
+    /// The current minimum, if its block is resident (after a `peek`).
+    fn head(&self, b: usize) -> Option<&T> {
+        (self.remaining() > 0 && self.head_blk == self.next / b).then(|| &self.head[self.next % b])
+    }
+
     /// Consume the current minimum. The element's budget slot transfers to
     /// the caller (it came from the resident head's read charge).
     fn pop<A: AemAccess<T>>(&mut self, machine: &mut A) -> Result<T> {
@@ -277,38 +282,28 @@ impl<T: Ord + Clone> ExternalPq<T> {
         if self.len == 0 {
             return Ok(None);
         }
-        // Find the smallest among the insertion buffer and the level heads
-        // (heads are resident after peeking; comparing clones keeps the
-        // borrows simple — internal computation is free in the model).
-        let mut best: Option<(usize, T)> = None;
-        for i in 0..self.levels.len() {
-            let head = match self.levels[i].as_mut() {
-                Some(cur) => cur.peek(machine)?.cloned(),
-                None => None,
-            };
-            if let Some(h) = head {
-                let better = best.as_ref().map(|(_, b)| h < *b).unwrap_or(true);
-                if better {
-                    best = Some((i, h));
-                }
-            }
+        // Make every level's head resident, in level order (the lazy head
+        // reads keep their order), then find the smallest among the heads
+        // and the insertion buffer by reference. Ties go to the lowest
+        // level, and the buffer wins ties against the levels.
+        for cur in self.levels.iter_mut().flatten() {
+            cur.peek(machine)?;
         }
-        let buf_min = self.insert_buf.iter().min().cloned();
-        let from_buf = match (&buf_min, &best) {
-            (Some(bm), Some((_, bh))) => bm <= bh,
+        let b = machine.cfg().block;
+        let best_level = (self.levels.iter().enumerate())
+            .filter_map(|(i, slot)| Some((i, slot.as_ref()?.head(b)?)))
+            .min_by(|(_, x), (_, y)| x.cmp(y));
+        let buf_min = (self.insert_buf.iter().enumerate()).min_by(|(_, x), (_, y)| x.cmp(y));
+        let from_buf = match (buf_min, best_level) {
+            (Some((_, bm)), Some((_, bh))) => bm <= bh,
             (Some(_), None) => true,
             (None, _) => false,
         };
-        let best_level = best.map(|(i, _)| i);
+        let buf_pos = buf_min.map(|(i, _)| i);
+        let best_level = best_level.map(|(i, _)| i);
 
         let x = if from_buf {
-            let pos = self
-                .insert_buf
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.cmp(b))
-                .map(|(i, _)| i)
-                .expect("non-empty buffer");
+            let pos = buf_pos.expect("non-empty buffer");
             // The buffered element was charged at push time; it keeps its
             // slot as it moves to the caller.
             self.insert_buf.swap_remove(pos)

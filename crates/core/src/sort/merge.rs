@@ -28,11 +28,19 @@
 //! Ties are broken by `(key, run, position)`, making the merge stable and
 //! every comparison strict. The tags are the constant per-element auxiliary
 //! words §3.1 allows.
-
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+//!
+//! The round's `M̂` smallest candidates live in the crate's round buffer
+//! (`round_buffer`). The seeding scan fills it lazily (unsorted appends,
+//! a stale rejection threshold, `select_nth_unstable` compaction); the
+//! merge loop seals it into a sorted `Vec`, merges each loaded block in
+//! from its insertion point, and writes the round out in that order. The
+//! schedule reads the buffer only through its size and, once full, its
+//! maximum, both fixed by the kept set, so the structure is host-side
+//! detail.
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
+
+use super::round_buffer::{load_sorted_block, RoundBuffer, Tagged};
 
 /// Statistics reported by [`merge_runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,10 +56,6 @@ pub struct MergeStats {
     /// The Lemma 3.1 bound `M̂/B` for the configuration the merge ran on.
     pub active_bound: usize,
 }
-
-/// Tagged element: `(key, run index, position within run)` — a strict total
-/// order consistent with the key order.
-type Tagged<T> = (T, u32, u64);
 
 /// State of one *active* run during the merge loop of a round.
 #[derive(Debug, Clone)]
@@ -112,13 +116,17 @@ where
     let mut written = 0usize;
     let mut out_blk = 0usize;
     let mut rounds = 0u64;
+    // The round buffer (the paper's in-memory array `M`): the `mhat`
+    // smallest candidates seen this round. Host-side scratch reused across
+    // rounds: the round's output keys, each run's new pointer value, and
+    // which pointer blocks those values may dirty.
+    let mut sel: RoundBuffer<Tagged<T>> = RoundBuffer::new(mhat);
+    let mut round_out: Vec<T> = Vec::with_capacity(mhat);
+    let mut new_ptr: Vec<u64> = vec![0; k];
+    let mut touched: Vec<bool> = vec![false; ptr_region.blocks];
 
     while written < total {
         rounds += 1;
-        // The round buffer (the paper's in-memory array `M`), as a max-heap
-        // capped at `mhat` elements: it always holds the `mhat` smallest
-        // candidates seen this round.
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
 
         // --- Seeding scan: up to two blocks from each run. -------------
         for pb in 0..ptr_region.blocks {
@@ -128,7 +136,8 @@ where
                 let run = &runs[run_idx];
                 let first = ptr as usize;
                 for blk in first..(first + 2).min(run.blocks) {
-                    read_merge(machine, run, run_idx, blk, &boundary, &mut sel, mhat)?;
+                    let id = run_idx as u32;
+                    load_sorted_block(machine, run, id, blk, boundary.as_ref(), &mut sel)?;
                 }
             }
             machine.discard(ptrs.len())?;
@@ -160,9 +169,7 @@ where
                 // the loaded ones, and (b) s_i is among the M̂ smallest seen
                 // (when the buffer is full, that means s_i ≤ its maximum).
                 let more = last_loaded + 1 < run.blocks;
-                let eligible =
-                    more && (sel.len() < mhat || sel.peek().map(|t| s_max <= *t).unwrap_or(true));
-                if eligible {
+                if more && sel.max().map_or(true, |t| s_max <= *t) {
                     actives.push(Active {
                         run: run_idx,
                         next_blk: last_loaded + 1,
@@ -182,11 +189,11 @@ where
         );
 
         // --- Merge loop: load from the active run with smallest s_i. ----
+        sel.seal();
         while !actives.is_empty() {
             // Drop runs that can no longer contribute this round.
-            if sel.len() >= mhat {
-                let t = sel.peek().expect("sel non-empty").clone();
-                actives.retain(|a| a.s_max <= t);
+            if let Some(t) = sel.max() {
+                actives.retain(|a| a.s_max <= *t);
                 if actives.is_empty() {
                     break;
                 }
@@ -199,10 +206,9 @@ where
             let run_idx = actives[j].run;
             let run = &runs[run_idx];
             let blk = actives[j].next_blk;
-            let (last_len, new_max) =
-                read_merge(machine, run, run_idx, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(last_len > 0);
-            actives[j].s_max = new_max.expect("non-empty block");
+            let id = run_idx as u32;
+            let loaded = load_sorted_block(machine, run, id, blk, boundary.as_ref(), &mut sel)?;
+            actives[j].s_max = loaded.max;
             actives[j].next_blk += 1;
             if actives[j].next_blk >= run.blocks {
                 actives.swap_remove(j);
@@ -210,7 +216,7 @@ where
         }
 
         // --- Output: write the round buffer in sorted order. -----------
-        let batch = sel.into_sorted_vec();
+        let batch = sel.sorted();
         debug_assert!(!batch.is_empty(), "progress while written < total");
         boundary = batch.last().cloned();
         written += batch.len();
@@ -218,47 +224,44 @@ where
         // New pointer value per contributing run: the block of its last
         // output element, advanced by one when that block was fully
         // consumed (then the element was the block's last).
-        let mut ptr_updates: HashMap<usize, u64> = HashMap::new();
-        for (_, run_u32, pos) in &batch {
+        for (_, run_u32, pos) in batch {
             let run_idx = *run_u32 as usize;
             let run = &runs[run_idx];
             let pos = *pos as usize;
             let consumed_block = pos + 1 == run.elems || (pos + 1) % b == 0;
-            let new_ptr = if consumed_block { pos / b + 1 } else { pos / b } as u64;
-            let e = ptr_updates.entry(run_idx).or_insert(0);
-            *e = (*e).max(new_ptr);
+            let np = if consumed_block { pos / b + 1 } else { pos / b } as u64;
+            new_ptr[run_idx] = new_ptr[run_idx].max(np);
+            touched[run_idx / b] = true;
         }
 
         // One bulk write for the whole round buffer: identical cost and
         // occupancies to the former per-block loop (chunks of exactly
         // `b`, final chunk partial), one ledger release, one bounds sweep.
-        let round_out: Vec<T> = batch.into_iter().map(|(x, _, _)| x).collect();
+        round_out.extend(sel.drain_sorted().map(|(x, _, _)| x));
         out_blk += machine.write_run(out.block(out_blk), &round_out)?;
+        round_out.clear();
 
         // Apply pointer updates, rewriting only dirty pointer blocks. A
         // pointer changes only when a block of its run was consumed, so
         // these writes total O(n) over the whole merge.
-        if !ptr_updates.is_empty() {
-            let mut touched: Vec<usize> = ptr_updates.keys().map(|r| r / b).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            for pb in touched {
-                let mut ptrs = machine.read_aux_block(ptr_region.block(pb))?;
-                let mut dirty = false;
-                for (off, p) in ptrs.iter_mut().enumerate() {
-                    if let Some(&np) = ptr_updates.get(&(pb * b + off)) {
-                        if np > *p {
-                            *p = np;
-                            dirty = true;
-                        }
-                    }
+        for pb in 0..ptr_region.blocks {
+            if !std::mem::take(&mut touched[pb]) {
+                continue;
+            }
+            let mut ptrs = machine.read_aux_block(ptr_region.block(pb))?;
+            let mut dirty = false;
+            for (off, p) in ptrs.iter_mut().enumerate() {
+                let np = std::mem::take(&mut new_ptr[pb * b + off]);
+                if np > *p {
+                    *p = np;
+                    dirty = true;
                 }
-                let len = ptrs.len();
-                if dirty {
-                    machine.write_aux_block(ptr_region.block(pb), ptrs)?;
-                } else {
-                    machine.discard(len)?;
-                }
+            }
+            let len = ptrs.len();
+            if dirty {
+                machine.write_aux_block(ptr_region.block(pb), ptrs)?;
+            } else {
+                machine.discard(len)?;
             }
         }
     }
@@ -277,51 +280,6 @@ where
 /// Tag an element with `(run, global position within run)`.
 fn tag<T>(x: T, run_idx: usize, blk: usize, off: usize, b: usize) -> Tagged<T> {
     (x, run_idx as u32, (blk * b + off) as u64)
-}
-
-/// Read block `blk` of `run` and merge its elements above `boundary` into
-/// the capped round buffer. Returns the block length and its maximal tagged
-/// element.
-fn read_merge<T, A>(
-    machine: &mut A,
-    run: &Region,
-    run_idx: usize,
-    blk: usize,
-    boundary: &Option<Tagged<T>>,
-    sel: &mut BinaryHeap<Tagged<T>>,
-    cap: usize,
-) -> Result<(usize, Option<Tagged<T>>)>
-where
-    T: Ord + Clone,
-    A: AemAccess<T>,
-{
-    let b = machine.cfg().block;
-    let data = machine.read_block(run.block(blk))?;
-    let len = data.len();
-    let mut max_tagged: Option<Tagged<T>> = None;
-    let before = sel.len();
-    for (off, x) in data.into_iter().enumerate() {
-        let tagged = tag(x, run_idx, blk, off, b);
-        if max_tagged.as_ref().map(|m| tagged > *m).unwrap_or(true) {
-            max_tagged = Some(tagged.clone());
-        }
-        if let Some(p) = boundary {
-            if tagged <= *p {
-                continue; // already output in an earlier round
-            }
-        }
-        if sel.len() < cap {
-            sel.push(tagged);
-        } else if tagged < *sel.peek().expect("cap >= 1") {
-            sel.pop();
-            sel.push(tagged);
-        }
-    }
-    let retained = sel.len() - before;
-    // Everything read but not net-retained leaves internal memory; each
-    // eviction also freed one slot that a pushed element re-used.
-    machine.discard(len - retained)?;
-    Ok((len, max_tagged))
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ pub mod heap;
 pub mod merge;
 pub mod merge_sort;
 pub mod resident;
+pub(crate) mod round_buffer;
 pub mod sample;
 pub mod small;
 pub mod via_pq;

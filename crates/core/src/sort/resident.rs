@@ -14,11 +14,10 @@
 //! so the `exp_sorting --ablation pointers` table also quantifies what the
 //! external-pointer machinery costs when it is *not* needed.
 
-use std::collections::BinaryHeap;
-
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
 use super::merge::MergeStats;
+use super::round_buffer::{load_sorted_block, RoundBuffer, Tagged};
 
 /// Cursor of one run, resident in internal memory (charged 2 words ≈ 1
 /// element slot each; we charge one slot per run, the model's constant-
@@ -82,15 +81,14 @@ where
         })
         .collect();
 
-    type Tagged<T> = (T, u32, u64);
     let mut boundary: Option<Tagged<T>> = None;
     let mut written = 0usize;
     let mut out_blk = 0usize;
     let mut rounds = 0u64;
+    let mut sel: RoundBuffer<Tagged<T>> = RoundBuffer::new(mhat);
 
     while written < total {
         rounds += 1;
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
         // Per-round local state (free internal bookkeeping for the runs
         // touched this round): last block loaded and its maximal element.
         let mut loaded_through: Vec<usize> = vec![usize::MAX; k];
@@ -102,25 +100,28 @@ where
                 continue;
             }
             let blk = cursors[i].next_blk;
-            let (len, max) = load_merge(machine, runs, i, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(len > 0);
+            let loaded = load_sorted_block(
+                machine,
+                &runs[i],
+                i as u32,
+                blk,
+                boundary.as_ref(),
+                &mut sel,
+            )?;
             loaded_through[i] = blk;
-            s_max[i] = max;
+            s_max[i] = Some(loaded.max);
         }
 
         // Merge loop: load the next block of the run with the smallest
         // maximal loaded element, while it may still contribute.
+        sel.seal();
         loop {
-            let t = if sel.len() >= mhat {
-                sel.peek().cloned()
-            } else {
-                None
-            };
+            let t = sel.max();
             let candidate = (0..k)
                 .filter(|&i| {
                     loaded_through[i] != usize::MAX && loaded_through[i] + 1 < runs[i].blocks
                 })
-                .filter(|&i| match (&s_max[i], &t) {
+                .filter(|&i| match (&s_max[i], t) {
                     (Some(s), Some(tv)) => s <= tv,
                     (Some(_), None) => true,
                     (None, _) => false,
@@ -128,19 +129,25 @@ where
                 .min_by(|&a, &c| s_max[a].cmp(&s_max[c]));
             let Some(j) = candidate else { break };
             let blk = loaded_through[j] + 1;
-            let (len, max) = load_merge(machine, runs, j, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(len > 0);
+            let loaded = load_sorted_block(
+                machine,
+                &runs[j],
+                j as u32,
+                blk,
+                boundary.as_ref(),
+                &mut sel,
+            )?;
             loaded_through[j] = blk;
-            s_max[j] = max;
+            s_max[j] = Some(loaded.max);
         }
 
         // Output.
-        let batch = sel.into_sorted_vec();
+        let batch = sel.sorted();
         debug_assert!(!batch.is_empty());
         boundary = batch.last().cloned();
         written += batch.len();
         // Advance cursors past fully consumed blocks.
-        for (_, run_u32, pos) in &batch {
+        for (_, run_u32, pos) in batch {
             let i = *run_u32 as usize;
             let pos = *pos as usize;
             let consumed = pos + 1 == runs[i].elems || (pos + 1) % b == 0;
@@ -150,7 +157,7 @@ where
                 cursors[i].exhausted = true;
             }
         }
-        let mut iter = batch.into_iter().map(|(x, _, _)| x).peekable();
+        let mut iter = sel.drain_sorted().map(|(x, _, _)| x).peekable();
         while iter.peek().is_some() {
             let chunk: Vec<T> = iter.by_ref().take(b).collect();
             machine.write_block(out.block(out_blk), chunk)?;
@@ -166,51 +173,6 @@ where
             ..MergeStats::default()
         },
     ))
-}
-
-/// Tagged element of the resident merge: `(key, run, position)`.
-type Tag<T> = (T, u32, u64);
-
-/// Read block `blk` of run `i`, merging elements above `boundary` into the
-/// capped buffer (same accounting as the external-pointer merge).
-#[allow(clippy::too_many_arguments)]
-fn load_merge<T, A>(
-    machine: &mut A,
-    runs: &[Region],
-    i: usize,
-    blk: usize,
-    boundary: &Option<Tag<T>>,
-    sel: &mut BinaryHeap<Tag<T>>,
-    cap: usize,
-) -> Result<(usize, Option<Tag<T>>)>
-where
-    T: Ord + Clone,
-    A: AemAccess<T>,
-{
-    let b = machine.cfg().block;
-    let data = machine.read_block(runs[i].block(blk))?;
-    let len = data.len();
-    let before = sel.len();
-    let mut max: Option<(T, u32, u64)> = None;
-    for (off, x) in data.into_iter().enumerate() {
-        let tagged = (x, i as u32, (blk * b + off) as u64);
-        if max.as_ref().map(|m| tagged > *m).unwrap_or(true) {
-            max = Some(tagged.clone());
-        }
-        if let Some(p) = boundary {
-            if tagged <= *p {
-                continue;
-            }
-        }
-        if sel.len() < cap {
-            sel.push(tagged);
-        } else if tagged < *sel.peek().expect("cap >= 1") {
-            sel.pop();
-            sel.push(tagged);
-        }
-    }
-    machine.discard(len - (sel.len() - before))?;
-    Ok((len, max))
 }
 
 #[cfg(test)]

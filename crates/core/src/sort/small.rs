@@ -16,10 +16,18 @@
 //! one auxiliary word per resident element, within the "constant number of
 //! additional words of auxiliary data with each element" that §3.1 of the
 //! paper allows.
-
-use std::collections::BinaryHeap;
+//!
+//! The selection lives in the crate's round buffer (`round_buffer`) in its
+//! lazy mode: each element is appended unsorted unless it is at or above
+//! the threshold of the last compaction, `select_nth_unstable` trims the
+//! buffer back to the `C` smallest whenever it doubles, and the batch is
+//! sorted once, when it is written. The schedule reads the buffer only
+//! through the size of its kept set, so how the set is held is host-side
+//! detail that no `(Q_r, Q_w)` count can see.
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
+
+use super::round_buffer::RoundBuffer;
 
 /// Sort `input` (at most `ω·M` elements) into a freshly allocated region,
 /// returned on success.
@@ -60,41 +68,32 @@ where
     let mut last: Option<(T, u64)> = None;
     let mut written = 0usize;
     let mut out_block = 0usize;
+    let mut sel: RoundBuffer<(T, u64)> = RoundBuffer::new(cap);
 
     while written < input.elems {
         // One selection scan: keep the `cap` smallest elements above `last`.
-        let mut heap: BinaryHeap<(T, u64)> = BinaryHeap::new();
         for blk in 0..input.blocks {
             let data = machine.read_block(input.block(blk))?;
             let len = data.len();
-            let before = heap.len();
+            let before = sel.len();
             for (off, x) in data.into_iter().enumerate() {
                 let tagged = (x, (blk * b + off) as u64);
-                if let Some(boundary) = &last {
-                    if tagged <= *boundary {
-                        continue; // already written in an earlier batch
-                    }
+                if last.as_ref().is_some_and(|boundary| tagged <= *boundary) {
+                    continue; // already written in an earlier batch
                 }
-                if heap.len() < cap {
-                    heap.push(tagged);
-                } else if tagged < *heap.peek().expect("cap >= 1") {
-                    heap.pop();
-                    heap.push(tagged);
-                }
+                sel.offer(tagged);
             }
             // Everything read but not retained leaves internal memory.
-            let retained = heap.len() - before;
-            machine.discard(len - retained)?;
+            machine.discard(len - (sel.len() - before))?;
         }
 
         // Drain the selection in ascending order and write it out.
-        let batch = heap.into_sorted_vec();
-        debug_assert!(!batch.is_empty(), "progress guaranteed while written < N'");
-        last = batch.last().cloned();
-        written += batch.len();
-        let mut iter = batch.into_iter().map(|(x, _)| x).peekable();
-        while iter.peek().is_some() {
-            let chunk: Vec<T> = iter.by_ref().take(b).collect();
+        last = sel.sorted().last().cloned();
+        debug_assert!(last.is_some(), "progress guaranteed while written < N'");
+        let mut batch = sel.drain_sorted().map(|(x, _)| x).peekable();
+        while batch.peek().is_some() {
+            let chunk: Vec<T> = batch.by_ref().take(b).collect();
+            written += chunk.len();
             machine.write_block(out.block(out_block), chunk)?;
             out_block += 1;
         }
