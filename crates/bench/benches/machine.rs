@@ -11,23 +11,32 @@
 //! the repo root are committed snapshots (PR6 adds the PQ-sort row; PR7
 //! moves the scan and the permuter's output path onto the bulk
 //! `read_run`/`write_run` API and adds the trace backend plus the
-//! repeat-cell re-pricing row), and
+//! repeat-cell re-pricing row; the direct SpMxV gather and the
+//! write-avoiding BFS re-scan rows came later, vec and trace only), and
 //! `cargo run -p aem-bench --bin perf_gate` compares a fresh run against
 //! the newest committed baseline (see README, "Bench baselines").
 
 use std::time::Instant;
 
 use aem_bench::timing::{bench, bench_with_elems, Measurement};
+use aem_core::bfs::bfs_rescan;
 use aem_core::permute::permute_naive_on;
 use aem_core::sort::{merge_sort, sort_via_pq};
+use aem_core::spmv::{install_instance, spmv_direct_on, MatEntry, SpmvInstance, U64Ring};
 use aem_flash::driver::naive_atom_permutation;
 use aem_flash::verify_lemma_4_3;
 use aem_machine::{
-    with_backend_machine, AemAccess, AemConfig, Backend, GhostMachine, Machine, RoundBasedMachine,
-    TraceMachine,
+    with_backend_machine, with_payload_machine, AemAccess, AemConfig, Backend, GhostMachine,
+    Machine, RoundBasedMachine, TraceMachine,
 };
 use aem_obs::json::{obj, Json};
-use aem_workloads::{KeyDist, PermKind};
+use aem_workloads::{graph_instance, Conformation, KeyDist, MatrixShape, PermKind};
+
+/// `n` and `δ` of the direct SpMxV row (a random conformation).
+const SPMV_N: usize = 1 << 15;
+const SPMV_DELTA: usize = 4;
+/// Vertices of the BFS re-scan row (the path graph: depth `n − 1`).
+const BFS_N: usize = 1 << 11;
 
 /// Block-scan copy (read every block, write every block) on one backend,
 /// streamed through the bulk API in runs of `m = M/B` blocks: one
@@ -130,6 +139,49 @@ fn pq_sort_backend(backend: Backend, cfg: AemConfig, n: usize) -> Measurement {
     })
 }
 
+/// The direct SpMxV gather on one payload backend, one reset machine per
+/// iteration (elements are non-zeros). Neither this row nor the BFS one
+/// has a ghost variant: both kernels route on payloads.
+fn spmv_direct_backend(backend: Backend, cfg: AemConfig) -> Option<Measurement> {
+    let conf = Conformation::generate(MatrixShape::Random { seed: 3 }, SPMV_N, SPMV_DELTA);
+    let a: Vec<U64Ring> = (0..conf.nnz() as u64).map(|i| U64Ring(i % 101)).collect();
+    let x: Vec<U64Ring> = (0..SPMV_N as u64).map(|j| U64Ring(j % 97)).collect();
+    let inst = SpmvInstance {
+        conf: &conf,
+        a_vals: &a,
+        x: &x,
+    };
+    with_payload_machine!(backend, MatEntry<U64Ring>, |M| {
+        let mut m = M::new(cfg);
+        Some(bench_with_elems(
+            &format!("spmv_direct/{}", backend.name()),
+            conf.nnz() as u64,
+            || {
+                m.reset();
+                let (ra, rx) = install_instance(&mut m, &inst);
+                spmv_direct_on(&mut m, &conf, ra, rx).unwrap()
+            },
+        ))
+    }, ghost => None)
+}
+
+/// The write-avoiding BFS re-scan on the path graph (one round per
+/// vertex) on one payload backend; elements are vertices.
+fn bfs_rescan_backend(backend: Backend, cfg: AemConfig) -> Option<Measurement> {
+    let g = graph_instance(BFS_N, 1, 0);
+    with_payload_machine!(backend, u64, |M| {
+        let mut m = M::new(cfg);
+        Some(bench_with_elems(
+            &format!("bfs_rescan/{}", backend.name()),
+            BFS_N as u64,
+            || {
+                m.reset();
+                bfs_rescan(&mut m, BFS_N, &g.offs, &g.adj).unwrap()
+            },
+        ))
+    }, ghost => None)
+}
+
 /// One full quick-grid sweep run for a backend, timed once (seconds).
 fn quick_sweep_secs(backend: Backend) -> f64 {
     let sweeps = aem_bench::exp::all_sweeps(true, backend);
@@ -228,6 +280,8 @@ fn main() {
         let perm = permute_backend(backend, cfg, 1 << 13);
         let pq = pq_sort_backend(backend, cfg, 1 << 13);
         let repeat = repeat_cell_backend(backend, cfg, 1 << 13);
+        let spmv = spmv_direct_backend(backend, cfg);
+        let bfs = bfs_rescan_backend(backend, cfg);
         let sweep_secs = quick_sweep_secs(backend);
         println!(
             "{:<44} {:>12.3}s  (full quick grid)",
@@ -249,11 +303,14 @@ fn main() {
             ),
             ("quick_sweep_secs", json_f64(sweep_secs)),
         ];
-        if let Some(repeat) = repeat {
-            row.push((
-                "repeat_cell_elems_per_sec",
-                json_f64(repeat.throughput().unwrap_or(0.0)),
-            ));
+        for (metric, m) in [
+            ("repeat_cell_elems_per_sec", repeat),
+            ("spmv_direct_elems_per_sec", spmv),
+            ("bfs_rescan_elems_per_sec", bfs),
+        ] {
+            if let Some(m) = m {
+                row.push((metric, json_f64(m.throughput().unwrap_or(0.0))));
+            }
         }
         backend_json.push((backend.name(), obj(row)));
     }
@@ -285,6 +342,9 @@ fn main() {
                     ("scan_elems", Json::UInt(1 << 13)),
                     ("permute_elems", Json::UInt(1 << 13)),
                     ("pq_elems", Json::UInt(1 << 13)),
+                    ("spmv_n", Json::UInt(SPMV_N as u64)),
+                    ("spmv_delta", Json::UInt(SPMV_DELTA as u64)),
+                    ("bfs_n", Json::UInt(BFS_N as u64)),
                 ]),
             ),
             ("backends", obj(backend_json)),

@@ -22,7 +22,9 @@
 //!   blocks, so a depth-`d` graph costs `(d + 1)` scan rounds of reads;
 //!   the distance file is emitted once at the end — exactly `⌈n/B⌉`
 //!   writes, ever. Certified bound ([`rescan_cost`]):
-//!   `n·(⌈(n+1)/B⌉ + ⌈m/B⌉)` reads.
+//!   `n·(⌈(n+1)/B⌉ + ⌈m/B⌉)` reads. The host walks only the frontier
+//!   beside the offsets cursor, so its work per round is
+//!   `O(⌈(n+1)/B⌉ + |frontier| + its edges)`, not `O(n)`.
 //!
 //! Unlike scan and matmul, **neither schedule is a pure function of the
 //! shape**: which distance blocks are touched, how many queue blocks
@@ -116,8 +118,8 @@ where
         let mut batch: Vec<u64> = Vec::with_capacity(b);
         for qb in 0..cur_len.div_ceil(b) {
             let flen = m.read_block_into(queue.block(cur_start + qb), &mut fbuf)?;
-            let frontier: Vec<usize> = fbuf[..flen].iter().map(|&v| v as usize).collect();
-            for v in frontier {
+            for &v in &fbuf[..flen] {
+                let v = v as usize;
                 let (o0, o1) = read_offsets(m, offs_r, v, b, &mut buf)?;
                 for e in o0..o1 {
                     let alen = m.read_block_into(adj_r.block(e / b), &mut buf)?;
@@ -185,6 +187,12 @@ where
 /// blocks, marking round-`r` discoveries, until a round discovers
 /// nothing. The distance file is then emitted once — `⌈n/B⌉` writes
 /// total. Bounded by [`rescan_cost`].
+///
+/// The host walks only the round's frontier (the previous round's
+/// discoveries, ascending) while an offsets cursor steps through every
+/// block in order, so host work per round is
+/// `O(⌈(n+1)/B⌉ + |frontier| + its edges)` rather than `O(n)`, on the same
+/// schedule a per-vertex sweep would drive.
 pub fn bfs_rescan<A>(m: &mut A, n: usize, offs: &[u64], adj: &[u64]) -> Result<Region>
 where
     A: AemAccess<u64> + InstallExt<u64> + ?Sized,
@@ -201,30 +209,39 @@ where
     m.phase_enter("rescan");
     let (mut obuf, mut abuf) = (Vec::new(), Vec::new());
     let (mut ores, mut ares) = (None, None);
+    let (mut frontier, mut next) = (vec![0usize], Vec::new());
     let mut round = 0u64;
-    loop {
+    while !frontier.is_empty() {
         round += 1;
-        let mut changed = false;
-        for v in 0..n {
-            seq_load(m, offs_r, v / b, &mut obuf, &mut ores)?;
-            let o0 = obuf[v % b] as usize;
-            seq_load(m, offs_r, (v + 1) / b, &mut obuf, &mut ores)?;
-            let o1 = obuf[(v + 1) % b] as usize;
-            if dist[v] != round - 1 {
-                continue;
+        // Offsets blocks `0..=n/B` are visited in order, each once per
+        // round, whether or not a frontier vertex lives in them.
+        let mut next_blk = 0usize;
+        let mut advance = |m: &mut A, to: usize, obuf: &mut Vec<u64>| -> Result<()> {
+            while next_blk <= to {
+                seq_load(m, offs_r, next_blk, obuf, &mut ores)?;
+                next_blk += 1;
             }
+            Ok(())
+        };
+        for &v in &frontier {
+            // `o0` must be read before the cursor moves on to `(v+1)/B`.
+            advance(m, v / b, &mut obuf)?;
+            let o0 = obuf[v % b] as usize;
+            advance(m, (v + 1) / b, &mut obuf)?;
+            let o1 = obuf[(v + 1) % b] as usize;
             for e in o0..o1 {
                 seq_load(m, adj_r, e / b, &mut abuf, &mut ares)?;
                 let w = abuf[e % b] as usize;
                 if dist[w] == MISS {
                     dist[w] = round;
-                    changed = true;
+                    next.push(w);
                 }
             }
         }
-        if !changed {
-            break;
-        }
+        advance(m, n / b, &mut obuf)?;
+        next.sort_unstable();
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
     }
     if ores.is_some() {
         m.discard(obuf.len())?;
@@ -320,6 +337,45 @@ mod tests {
                     assert_eq!(used, 0, "{algo} leaked budget");
                 }
             }
+        }
+    }
+
+    /// CSR offsets and targets from per-vertex adjacency lists.
+    fn csr(lists: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
+        let mut offs = vec![0u64];
+        let mut adj = Vec::new();
+        for l in lists {
+            adj.extend_from_slice(l);
+            offs.push(adj.len() as u64);
+        }
+        (offs, adj)
+    }
+
+    #[test]
+    fn frontier_walk_handles_degenerate_graphs() {
+        let path: Vec<Vec<u64>> = (0..45u64).map(|v| vec![(v + 1).min(44)]).collect();
+        let cases: Vec<(&str, Vec<Vec<u64>>)> = vec![
+            ("n=1", vec![vec![0]]),
+            ("isolated source", vec![vec![], vec![0, 2], vec![1]]),
+            (
+                "disconnected",
+                vec![vec![1], vec![0], vec![3], vec![2, 4], vec![2]],
+            ),
+            ("self-loops only", (0..9u64).map(|v| vec![v]).collect()),
+            ("path over 6 offset blocks", path),
+        ];
+        let c = cfg(64, 8, 16);
+        for (name, lists) in cases {
+            let n = lists.len();
+            let (offs, adj) = csr(&lists);
+            let mut m = Machine::<u64>::new(c);
+            let dist = bfs_rescan(&mut m, n, &offs, &adj).unwrap();
+            assert_eq!(m.inspect(dist), bfs_reference(n, &offs, &adj), "{name}");
+            assert_eq!(m.internal_used(), 0, "{name}");
+            let bound = rescan_cost(c, n, adj.len().div_ceil(n)).unwrap();
+            let cost = m.cost();
+            assert!(cost.reads <= bound.reads, "{name}: {cost:?} vs {bound:?}");
+            assert!(cost.writes <= bound.writes, "{name}: {cost:?} vs {bound:?}");
         }
     }
 

@@ -3,8 +3,11 @@
 //! §5: "For each output element `y_i`, the program considers all entries
 //! `a_ij` in the `i`-th row of `A`, multiplying it by `x_j` and adding the
 //! result to `y_i`." The row → entry-position index is *program* knowledge
-//! (the conformation is fixed per program), so no searching happens; the
-//! cost is the gathering itself: up to two block reads per non-zero (the
+//! (the conformation is fixed per program), so no searching happens. It is
+//! built on the host as a CSR index: `n + 1` row starts and one
+//! `(position, column)` pair per non-zero, filled by a counting sort that
+//! keeps each row's entries in column-major order. The cost is the
+//! gathering itself: up to two block reads per non-zero (the
 //! entry's block of `A` and the block of `x` holding `x_j`, each cached
 //! while consecutive accesses stay within it) and one write per output
 //! block — `O(H + ωn)` total. All reads, almost no writes: this program is
@@ -14,44 +17,9 @@
 use aem_machine::{AemAccess, Machine, MachineError, Region, Result};
 use aem_workloads::Conformation;
 
-use super::layout::{install_instance, MatEntry, SpmvInstance};
+use super::layout::{install_instance, BlockCursor, MatEntry, SpmvInstance};
 use super::semiring::Semiring;
 use super::SpmvRun;
-
-/// A one-block cache over a region: re-reads only on block change.
-struct BlockCursor<S> {
-    blk: Option<usize>,
-    data: Vec<MatEntry<S>>,
-}
-
-impl<S: Semiring> BlockCursor<S> {
-    fn new() -> Self {
-        Self {
-            blk: None,
-            data: Vec::new(),
-        }
-    }
-
-    fn get<A: AemAccess<MatEntry<S>>>(
-        &mut self,
-        machine: &mut A,
-        region: Region,
-        elem: usize,
-    ) -> Result<&MatEntry<S>> {
-        let b = machine.cfg().block;
-        let want = elem / b;
-        if self.blk != Some(want) {
-            machine.discard(self.data.len())?;
-            self.data = machine.read_block(region.block(want))?;
-            self.blk = Some(want);
-        }
-        Ok(&self.data[elem % b])
-    }
-
-    fn retire<A: AemAccess<MatEntry<S>>>(self, machine: &mut A) -> Result<()> {
-        machine.discard(self.data.len())
-    }
-}
 
 /// Run the direct algorithm on an existing machine. `a` and `x` are the
 /// regions produced by [`install_instance`]; returns the region of
@@ -73,11 +41,22 @@ where
     let b = cfg.block;
     let n = conf.n;
 
-    // Row index: for each row, the positions (in column-major order) of its
-    // entries. Structure knowledge of the program — free.
-    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Row index in CSR form: row `i`'s entries are
+    // `entries[starts[i]..starts[i + 1]]`, each `(e, col)` with `e` its
+    // position in column-major order, ascending within the row (a counting
+    // sort over the triples). Structure knowledge of the program — free.
+    let mut starts = vec![0usize; n + 1];
+    for t in &conf.triples {
+        starts[t.row + 1] += 1;
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let mut fill = starts[..n].to_vec();
+    let mut entries = vec![(0usize, 0usize); conf.nnz()];
     for (e, t) in conf.triples.iter().enumerate() {
-        rows[t.row].push(e);
+        entries[fill[t.row]] = (e, t.col);
+        fill[t.row] += 1;
     }
 
     machine.phase_enter("row-gather");
@@ -87,10 +66,9 @@ where
     let mut out_buf: Vec<MatEntry<S>> = Vec::with_capacity(b);
     let mut out_blk = 0usize;
 
-    for (i, row) in rows.iter().enumerate() {
+    for (i, row) in starts.windows(2).enumerate() {
         let mut sum = S::zero();
-        for &e in row {
-            let col = conf.triples[e].col;
+        for &(e, col) in &entries[row[0]..row[1]] {
             let av = a_cur.get(machine, a, e)?.val.clone();
             let xv = x_cur.get(machine, x, col)?.val.clone();
             sum = sum.add(&av.mul(&xv));

@@ -79,6 +79,45 @@ impl<'a, S: Semiring> SpmvInstance<'a, S> {
     }
 }
 
+/// A one-block cache over a region for the SpMxV gathers: re-reads only on
+/// block change, into the same buffer (one fused evict-and-load per
+/// reload, no allocation).
+pub(super) struct BlockCursor<T> {
+    blk: Option<usize>,
+    data: Vec<T>,
+}
+
+impl<T> BlockCursor<T> {
+    pub(super) fn new() -> Self {
+        Self {
+            blk: None,
+            data: Vec::new(),
+        }
+    }
+
+    /// Element `elem` of `region`, loading its block if another is resident.
+    pub(super) fn get<A: AemAccess<T>>(
+        &mut self,
+        machine: &mut A,
+        region: Region,
+        elem: usize,
+    ) -> aem_machine::Result<&T> {
+        let b = machine.cfg().block;
+        let want = elem / b;
+        if self.blk != Some(want) {
+            // `data` is empty before the first load, so nothing is released.
+            machine.exchange_block_into(region.block(want), &mut self.data)?;
+            self.blk = Some(want);
+        }
+        Ok(&self.data[elem % b])
+    }
+
+    /// Release the resident block's budget.
+    pub(super) fn retire<A: AemAccess<T>>(self, machine: &mut A) -> aem_machine::Result<()> {
+        machine.discard(self.data.len())
+    }
+}
+
 /// Install an instance into a machine (free: problem setup). Returns the
 /// regions of `A` (column-major entry atoms) and `x` (index-tagged atoms).
 pub fn install_instance<S, A>(machine: &mut A, inst: &SpmvInstance<'_, S>) -> (Region, Region)

@@ -30,7 +30,7 @@
 use aem_machine::{AemAccess, Machine, MachineError, Region, Result};
 use aem_workloads::Conformation;
 
-use super::layout::{install_instance, MatEntry, SpmvInstance};
+use super::layout::{install_instance, BlockCursor, MatEntry, SpmvInstance};
 use super::semiring::Semiring;
 use super::SpmvRun;
 use crate::sort::merge_sort;
@@ -69,8 +69,8 @@ where
         .collect();
 
     {
-        let mut a_blk: Option<(usize, Vec<MatEntry<S>>)> = None;
-        let mut x_blk: Option<(usize, Vec<MatEntry<S>>)> = None;
+        let mut a_cur = BlockCursor::new();
+        let mut x_cur = BlockCursor::new();
         let mut out_buf: Vec<MatEntry<S>> = Vec::with_capacity(b);
         let mut cur_meta = 0usize;
         let mut meta_out_blk = 0usize;
@@ -89,24 +89,10 @@ where
                 cur_meta = mc;
                 meta_out_blk = 0;
             }
-            // Stream A.
-            let want_a = e / b;
-            if a_blk.as_ref().map(|(i, _)| *i) != Some(want_a) {
-                if let Some((_, old)) = a_blk.take() {
-                    machine.discard(old.len())?;
-                }
-                a_blk = Some((want_a, machine.read_block(a.block(want_a))?));
-            }
-            // Stream x (column-major order visits columns monotonically).
-            let want_x = col / b;
-            if x_blk.as_ref().map(|(i, _)| *i) != Some(want_x) {
-                if let Some((_, old)) = x_blk.take() {
-                    machine.discard(old.len())?;
-                }
-                x_blk = Some((want_x, machine.read_block(x.block(want_x))?));
-            }
-            let ae = &a_blk.as_ref().expect("loaded").1[e % b];
-            let xe = &x_blk.as_ref().expect("loaded").1[col % b];
+            // Stream A, then x (column-major order visits columns
+            // monotonically).
+            let ae = a_cur.get(machine, a, e)?;
+            let xe = x_cur.get(machine, x, col)?;
             let prod = MatEntry {
                 row: ae.row,
                 val: ae.val.mul(&xe.val),
@@ -124,12 +110,8 @@ where
         if !out_buf.is_empty() {
             machine.write_block(meta_regions[cur_meta].block(meta_out_blk), out_buf)?;
         }
-        if let Some((_, old)) = a_blk.take() {
-            machine.discard(old.len())?;
-        }
-        if let Some((_, old)) = x_blk.take() {
-            machine.discard(old.len())?;
-        }
+        a_cur.retire(machine)?;
+        x_cur.retire(machine)?;
     }
     machine.phase_exit();
 
@@ -162,7 +144,11 @@ where
     let y = machine.alloc_region(n);
     let mut out_buf: Vec<MatEntry<S>> = Vec::with_capacity(b);
     let mut out_blk = 0usize;
-    let mut cursor: Option<(usize, Vec<MatEntry<S>>, usize)> = None; // (blk, data, off)
+    // The combined list streams through one recycled block buffer. Every
+    // consumed entry moves into `y` (or is added into one that does), so
+    // a fully consumed block is replaced without a release.
+    let mut data: Vec<MatEntry<S>> = Vec::new();
+    let mut off = 0usize;
     let mut next_blk = 0usize;
     for i in 0..n {
         // Consume and accumulate every entry for row i. Duplicate rows can
@@ -171,34 +157,29 @@ where
         // performs the remaining additions.
         let mut acc: Option<S> = None;
         loop {
-            let row = match &mut cursor {
-                Some((_, data, off)) if *off < data.len() => {
-                    let row = data[*off].row;
-                    debug_assert!(row >= i as u64, "combined list is sorted by row");
-                    if row != i as u64 {
-                        break;
+            if off < data.len() {
+                let row = data[off].row;
+                debug_assert!(row >= i as u64, "combined list is sorted by row");
+                if row != i as u64 {
+                    break;
+                }
+                let e = data[off].clone();
+                off += 1;
+                acc = match acc.take() {
+                    // Combining two atoms of the same row frees one.
+                    Some(v) => {
+                        machine.discard(1)?;
+                        Some(v.add(&e.val))
                     }
-                    let e = data[*off].clone();
-                    *off += 1;
-                    acc = match acc.take() {
-                        // Combining two atoms of the same row frees one.
-                        Some(v) => {
-                            machine.discard(1)?;
-                            Some(v.add(&e.val))
-                        }
-                        None => Some(e.val),
-                    };
-                    row
-                }
-                _ if next_blk < combined.blocks => {
-                    let data = machine.read_block(combined.block(next_blk))?;
-                    cursor = Some((next_blk, data, 0));
-                    next_blk += 1;
-                    continue;
-                }
-                _ => break,
-            };
-            let _ = row;
+                    None => Some(e.val),
+                };
+            } else if next_blk < combined.blocks {
+                machine.read_block_into(combined.block(next_blk), &mut data)?;
+                off = 0;
+                next_blk += 1;
+            } else {
+                break;
+            }
         }
         let val = match acc {
             Some(v) => v, // the atom moves from the list into y
@@ -216,12 +197,10 @@ where
     if !out_buf.is_empty() {
         machine.write_block(y.block(out_blk), out_buf)?;
     }
-    if let Some((_, data, off)) = cursor.take() {
-        // Fully-consumed cursor blocks carry no residue; a partially
-        // consumed one would mean duplicate rows survived merge-add.
-        debug_assert_eq!(off, data.len(), "unconsumed combined entries");
-        machine.discard(data.len() - off)?;
-    }
+    // Fully-consumed cursor blocks carry no residue; a partially consumed
+    // one would mean duplicate rows survived merge-add.
+    debug_assert_eq!(off, data.len(), "unconsumed combined entries");
+    machine.discard(data.len() - off)?;
     machine.phase_exit();
     Ok(y)
 }
@@ -295,7 +274,7 @@ where
             h.blk += 1;
             h.off = 0;
             if h.blk < r.blocks {
-                h.data = machine.read_block(r.block(h.blk))?;
+                machine.read_block_into(r.block(h.blk), &mut h.data)?;
             } else {
                 heads.swap_remove(best);
             }

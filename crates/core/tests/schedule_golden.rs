@@ -1,12 +1,14 @@
-//! Golden I/O schedules of the round-buffer algorithms.
+//! Golden I/O schedules of the round-buffer and gather algorithms.
 //!
 //! Each case runs one algorithm on a fixed seeded input and pins an FNV-1a
 //! digest of the *complete* `Machine::start_trace` event log — every read
 //! and write, in order, with its block, length and aux flag — plus the
 //! `(Q_r, Q_w)` tuple. The `COSTS.json` gate only sees the final counts;
-//! this test proves the schedule itself does not move when the host-side
-//! data structures behind the §3.1 merge, the Lemma 4.2 base case and the
-//! priority-queue refill change.
+//! these tests prove the schedule itself does not move when the host-side
+//! data structures behind the §3.1 merge, the Lemma 4.2 base case, the
+//! priority-queue refill, the BFS traversals and the direct SpMxV gather
+//! change. A third table pins the generated sparse-matrix conformations
+//! those gathers run on.
 //!
 //! Four shapes cover the regimes the algorithms branch on: a roomy
 //! `(1024, 64, 16)`, `ω > B` at `(64, 8, 128)`, the ARAM `B = 1` at
@@ -15,14 +17,19 @@
 //! On a mismatch the test prints the whole measured table in source form.
 //! Refresh `GOLDEN` from it only for an intended schedule change.
 
+use aem_core::bfs::{bfs_mark, bfs_rescan};
+use aem_core::oracle::bfs_reference;
 use aem_core::permute::{permute_by_sort_on, DestTagged};
 use aem_core::pq::BufferedPq;
 use aem_core::sort::{
     heap_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq,
 };
-use aem_core::spmv::{install_instance, spmv_sorted_on, SpmvInstance, U64Ring};
+use aem_core::spmv::{
+    install_instance, reference_multiply, spmv_direct_on, spmv_sorted_on, MatEntry, SpmvInstance,
+    U64Ring,
+};
 use aem_machine::{AemAccess, AemConfig, Cost, IoEvent, Machine, Region, Result};
-use aem_workloads::{Conformation, KeyDist, MatrixShape, PermKind};
+use aem_workloads::{graph_instance, Conformation, KeyDist, MatrixShape, PermKind};
 
 /// `(case, digest, Q_r, Q_w)` recorded before the round-buffer kernel
 /// replaced the per-algorithm binary heaps.
@@ -99,6 +106,232 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("spmv/sorted@64,8,8", 0x7b6308677a18a659, 960, 320),
 ];
 
+/// `(case, digest, Q_r, Q_w)` of the BFS traversals and the direct SpMxV
+/// gather, recorded before their host loops were made proportional to
+/// the schedule (frontier-driven rounds, a CSR row index, recycled cursor
+/// blocks).
+const GATHER_GOLDEN: &[(&str, u64, u64, u64)] = &[
+    ("bfs_mark/n=32,s=0@1024,64,16", 0xfe8c0de889664fa5, 256, 64),
+    ("bfs_rescan/n=32,s=0@1024,64,16", 0x7e78754bef2be105, 3, 1),
+    ("bfs_mark/n=32,s=1@1024,64,16", 0x0b2ae226406cc567, 223, 37),
+    ("bfs_rescan/n=32,s=1@1024,64,16", 0xf6b767a606aa1685, 11, 1),
+    ("bfs_mark/n=32,s=2@1024,64,16", 0x89ffce89f64b3325, 30, 6),
+    ("bfs_rescan/n=32,s=2@1024,64,16", 0x7e78754bef2be105, 3, 1),
+    (
+        "bfs_mark/n=191,s=0@1024,64,16",
+        0x67e097e0605ebf73,
+        1530,
+        384,
+    ),
+    (
+        "bfs_rescan/n=191,s=0@1024,64,16",
+        0x478788765b4824c9,
+        582,
+        3,
+    ),
+    (
+        "bfs_mark/n=191,s=1@1024,64,16",
+        0x3d0cc9464d6701c7,
+        1299,
+        195,
+    ),
+    ("bfs_rescan/n=191,s=1@1024,64,16", 0xe9a3231cd383925d, 85, 3),
+    ("bfs_mark/n=191,s=2@1024,64,16", 0xf6d40c28427b12f5, 31, 8),
+    ("bfs_rescan/n=191,s=2@1024,64,16", 0x5b07b26dd4c9ca59, 9, 3),
+    (
+        "bfs_mark/n=192,s=0@1024,64,16",
+        0x8753f60cac577707,
+        1539,
+        386,
+    ),
+    (
+        "bfs_rescan/n=192,s=0@1024,64,16",
+        0xb047a815c06798a4,
+        777,
+        3,
+    ),
+    (
+        "bfs_mark/n=192,s=1@1024,64,16",
+        0xe6e371fd7efe202d,
+        1280,
+        193,
+    ),
+    (
+        "bfs_rescan/n=192,s=1@1024,64,16",
+        0x54504e854f0c0fa8,
+        101,
+        3,
+    ),
+    ("bfs_mark/n=192,s=2@1024,64,16", 0x50c4cefcaf9447ca, 30, 8),
+    ("bfs_rescan/n=192,s=2@1024,64,16", 0xc43aa12cc059d481, 11, 3),
+    ("spmv/direct/random@1024,64,16", 0x876ca553ac2b281c, 1510, 4),
+    ("spmv/direct/banded@1024,64,16", 0x9c5bf92656d8dccc, 334, 4),
+    (
+        "spmv/direct/block_diagonal@1024,64,16",
+        0xfbbc70b44c0c14a5,
+        20,
+        4,
+    ),
+    ("bfs_mark/n=4,s=0@64,8,128", 0x2e88bbaa22b6cca5, 32, 8),
+    ("bfs_rescan/n=4,s=0@64,8,128", 0xe88f8399a809eea9, 3, 1),
+    ("bfs_mark/n=4,s=1@64,8,128", 0x65e4481268bd7124, 31, 7),
+    ("bfs_rescan/n=4,s=1@64,8,128", 0x3b4a02cd8b048180, 4, 1),
+    ("bfs_mark/n=4,s=2@64,8,128", 0x8b1f4b43f13e4b25, 30, 6),
+    ("bfs_rescan/n=4,s=2@64,8,128", 0xe88f8399a809eea9, 3, 1),
+    ("bfs_mark/n=159,s=0@64,8,128", 0x9fcb2e50dc297fe2, 1291, 337),
+    (
+        "bfs_rescan/n=159,s=0@64,8,128",
+        0xbf67388c86b1eca7,
+        3240,
+        20,
+    ),
+    ("bfs_mark/n=159,s=1@64,8,128", 0x6b21943266ab7128, 1098, 193),
+    ("bfs_rescan/n=159,s=1@64,8,128", 0xf91ba86ff0826960, 309, 20),
+    ("bfs_mark/n=159,s=2@64,8,128", 0xc7026021fc693423, 30, 25),
+    ("bfs_rescan/n=159,s=2@64,8,128", 0xfb30ae1d1af0a1fe, 45, 20),
+    ("bfs_mark/n=160,s=0@64,8,128", 0xd0300656242295c5, 1300, 339),
+    (
+        "bfs_rescan/n=160,s=0@64,8,128",
+        0x77f52779406f2f55,
+        3420,
+        20,
+    ),
+    ("bfs_mark/n=160,s=1@64,8,128", 0xdf64c43dd43a4660, 1107, 194),
+    ("bfs_rescan/n=160,s=1@64,8,128", 0x76907d72439fe6d8, 337, 20),
+    ("bfs_mark/n=160,s=2@64,8,128", 0xebce62f4300c4dd6, 30, 25),
+    ("bfs_rescan/n=160,s=2@64,8,128", 0x64b4586d5dc3acf8, 45, 20),
+    ("spmv/direct/random@64,8,128", 0x20e382e2cef6ea47, 1959, 32),
+    ("spmv/direct/banded@64,8,128", 0x26ea99b8e23d3ba2, 1409, 32),
+    (
+        "spmv/direct/block_diagonal@64,8,128",
+        0x4a9582c5d7c2d4b1,
+        1288,
+        32,
+    ),
+    ("bfs_mark/n=1,s=0@aram64,16", 0x5c4f79daaf2d3160, 9, 2),
+    ("bfs_rescan/n=1,s=0@aram64,16", 0x93c1fce904c985c5, 5, 1),
+    ("bfs_mark/n=1,s=1@aram64,16", 0x5c4f79daaf2d3160, 9, 2),
+    ("bfs_rescan/n=1,s=1@aram64,16", 0x93c1fce904c985c5, 5, 1),
+    ("bfs_mark/n=1,s=2@aram64,16", 0x5c4f79daaf2d3160, 9, 2),
+    ("bfs_rescan/n=1,s=2@aram64,16", 0x93c1fce904c985c5, 5, 1),
+    (
+        "bfs_mark/n=159,s=0@aram64,16",
+        0xe8e6ffa6a7b153b9,
+        1431,
+        476,
+    ),
+    (
+        "bfs_rescan/n=159,s=0@aram64,16",
+        0x32f407c6d9f9aff4,
+        25917,
+        159,
+    ),
+    (
+        "bfs_mark/n=159,s=1@aram64,16",
+        0x9b394f13717f89fd,
+        1359,
+        460,
+    ),
+    (
+        "bfs_rescan/n=159,s=1@aram64,16",
+        0x3be7c17489e0a875,
+        1733,
+        159,
+    ),
+    ("bfs_mark/n=159,s=2@aram64,16", 0x8a8349d7b98e6e0a, 36, 166),
+    (
+        "bfs_rescan/n=159,s=2@aram64,16",
+        0x3f4e31d34b220b01,
+        332,
+        159,
+    ),
+    (
+        "bfs_mark/n=160,s=0@aram64,16",
+        0x8e7a7598dec17021,
+        1440,
+        479,
+    ),
+    (
+        "bfs_rescan/n=160,s=0@aram64,16",
+        0x8382436385128cc8,
+        26240,
+        160,
+    ),
+    (
+        "bfs_mark/n=160,s=1@aram64,16",
+        0xbd414e9de6596b5a,
+        1368,
+        463,
+    ),
+    (
+        "bfs_rescan/n=160,s=1@aram64,16",
+        0x4193893473cdec80,
+        1905,
+        160,
+    ),
+    ("bfs_mark/n=160,s=2@aram64,16", 0x4fcb63a6d517c831, 36, 167),
+    (
+        "bfs_rescan/n=160,s=2@aram64,16",
+        0x9e577c2288409552,
+        334,
+        160,
+    ),
+    (
+        "spmv/direct/random@aram64,16",
+        0x42cba5dfc9726cb9,
+        2048,
+        256,
+    ),
+    (
+        "spmv/direct/banded@aram64,16",
+        0xd0bb2aab97e8c2c2,
+        2046,
+        256,
+    ),
+    (
+        "spmv/direct/block_diagonal@aram64,16",
+        0xb09806d95d825ded,
+        2047,
+        256,
+    ),
+    ("bfs_mark/n=4,s=0@64,8,8", 0x2e88bbaa22b6cca5, 32, 8),
+    ("bfs_rescan/n=4,s=0@64,8,8", 0xe88f8399a809eea9, 3, 1),
+    ("bfs_mark/n=4,s=1@64,8,8", 0x65e4481268bd7124, 31, 7),
+    ("bfs_rescan/n=4,s=1@64,8,8", 0x3b4a02cd8b048180, 4, 1),
+    ("bfs_mark/n=4,s=2@64,8,8", 0x8b1f4b43f13e4b25, 30, 6),
+    ("bfs_rescan/n=4,s=2@64,8,8", 0xe88f8399a809eea9, 3, 1),
+    ("bfs_mark/n=159,s=0@64,8,8", 0x9fcb2e50dc297fe2, 1291, 337),
+    ("bfs_rescan/n=159,s=0@64,8,8", 0xbf67388c86b1eca7, 3240, 20),
+    ("bfs_mark/n=159,s=1@64,8,8", 0x6b21943266ab7128, 1098, 193),
+    ("bfs_rescan/n=159,s=1@64,8,8", 0xf91ba86ff0826960, 309, 20),
+    ("bfs_mark/n=159,s=2@64,8,8", 0xc7026021fc693423, 30, 25),
+    ("bfs_rescan/n=159,s=2@64,8,8", 0xfb30ae1d1af0a1fe, 45, 20),
+    ("bfs_mark/n=160,s=0@64,8,8", 0xd0300656242295c5, 1300, 339),
+    ("bfs_rescan/n=160,s=0@64,8,8", 0x77f52779406f2f55, 3420, 20),
+    ("bfs_mark/n=160,s=1@64,8,8", 0xdf64c43dd43a4660, 1107, 194),
+    ("bfs_rescan/n=160,s=1@64,8,8", 0x76907d72439fe6d8, 337, 20),
+    ("bfs_mark/n=160,s=2@64,8,8", 0xebce62f4300c4dd6, 30, 25),
+    ("bfs_rescan/n=160,s=2@64,8,8", 0x64b4586d5dc3acf8, 45, 20),
+    ("spmv/direct/random@64,8,8", 0x20e382e2cef6ea47, 1959, 32),
+    ("spmv/direct/banded@64,8,8", 0x26ea99b8e23d3ba2, 1409, 32),
+    (
+        "spmv/direct/block_diagonal@64,8,8",
+        0x4a9582c5d7c2d4b1,
+        1288,
+        32,
+    ),
+];
+
+/// `(case, digest)` of `Conformation::generate`'s triples, recorded before
+/// the row sampler's `HashSet` became a reused membership map.
+const CONFORMATION_GOLDEN: &[(&str, u64)] = &[
+    ("random/n=12", 0x9e3a7fc3d610d2ab),
+    ("random/n=1024", 0x5b65f547f7c669e1),
+    ("banded/w=8", 0x966b2c9bbeafa258),
+    ("block_diagonal/b=16", 0x171f6c42991b3c58),
+    ("block_diagonal/b=64", 0xc01b082da4637b48),
+];
+
 /// The four machine shapes, with a short label for the case names.
 fn shapes() -> [(&'static str, AemConfig); 4] {
     [
@@ -109,26 +342,27 @@ fn shapes() -> [(&'static str, AemConfig); 4] {
     ]
 }
 
-/// FNV-1a over the event log, each event as `(kind, block, len, aux)`.
-fn digest(events: &[IoEvent]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
+    for x in words {
         for byte in x.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0100_0000_01b3);
         }
-    };
-    for ev in events {
+    }
+    h
+}
+
+/// FNV-1a over the event log, each event as `(kind, block, len, aux)`.
+fn digest(events: &[IoEvent]) -> u64 {
+    fnv1a(events.iter().flat_map(|ev| {
         let (kind, block, len, aux) = match *ev {
             IoEvent::Read { block, len, aux } => (0u64, block, len, aux),
             IoEvent::Write { block, len, aux } => (1u64, block, len, aux),
         };
-        eat(kind);
-        eat(block.0 as u64);
-        eat(len as u64);
-        eat(aux as u64);
-    }
-    h
+        [kind, block.0 as u64, len as u64, aux as u64]
+    }))
 }
 
 /// Trace `body` on a fresh machine holding `input`, check its output with
@@ -299,34 +533,153 @@ fn measure() -> Vec<(String, u64, u64, u64)> {
             }),
         );
 
-        let (n_mat, delta) = (256, 4);
-        let conf = Conformation::generate(MatrixShape::Random { seed: 9 }, n_mat, delta);
-        let a: Vec<U64Ring> = (0..conf.nnz())
-            .map(|i| U64Ring((i as u64 * 31 + 7) % 113))
-            .collect();
-        let x: Vec<U64Ring> = (0..n_mat)
-            .map(|j| U64Ring((j as u64 * 13 + 1) % 89))
-            .collect();
-        let inst = SpmvInstance {
-            conf: &conf,
-            a_vals: &a,
-            x: &x,
-        };
-        let mut m = Machine::new(cfg);
-        let (ra, rx) = install_instance(&mut m, &inst);
-        m.start_trace();
-        let y = spmv_sorted_on(&mut m, &conf, ra, rx).expect("spmv runs");
-        let trace = m.take_trace().expect("tracing was on");
-        let got: Vec<U64Ring> = m.inspect(y).into_iter().map(|e| e.val).collect();
-        assert_eq!(got, aem_core::spmv::reference_multiply(&conf, &a, &x));
-        push("spmv/sorted", (digest(trace.events()), m.cost()));
+        let conf = Conformation::generate(MatrixShape::Random { seed: 9 }, 256, 4);
+        push("spmv/sorted", spmv_case(cfg, &conf, spmv_sorted_on));
     }
     rows
 }
 
-#[test]
-fn round_buffer_schedules_match_the_recorded_golden_digests() {
-    let rows = measure();
+/// Run one SpMxV program over `conf` with seeded values, check `y`
+/// against the RAM reference, and digest the traced schedule.
+fn spmv_case<F>(cfg: AemConfig, conf: &Conformation, run: F) -> (u64, Cost)
+where
+    F: FnOnce(&mut Machine<MatEntry<U64Ring>>, &Conformation, Region, Region) -> Result<Region>,
+{
+    let a: Vec<U64Ring> = (0..conf.nnz())
+        .map(|i| U64Ring((i as u64 * 31 + 7) % 113))
+        .collect();
+    let x: Vec<U64Ring> = (0..conf.n)
+        .map(|j| U64Ring((j as u64 * 13 + 1) % 89))
+        .collect();
+    let inst = SpmvInstance {
+        conf,
+        a_vals: &a,
+        x: &x,
+    };
+    let mut m = Machine::new(cfg);
+    let (ra, rx) = install_instance(&mut m, &inst);
+    m.start_trace();
+    let y = run(&mut m, conf, ra, rx).expect("spmv runs");
+    let trace = m.take_trace().expect("tracing was on");
+    let got: Vec<U64Ring> = m.inspect(y).into_iter().map(|e| e.val).collect();
+    assert_eq!(got, reference_multiply(conf, &a, &x));
+    assert_eq!(m.internal_used(), 0);
+    (digest(trace.events()), m.cost())
+}
+
+/// Run one BFS traversal on the canonical `(n, delta, seed)` graph,
+/// check the distances against the RAM oracle, and digest the schedule.
+fn bfs_case<F>(cfg: AemConfig, n: usize, seed: u64, run: F) -> (u64, Cost)
+where
+    F: FnOnce(&mut Machine<u64>, usize, &[u64], &[u64]) -> Result<Region>,
+{
+    let g = graph_instance(n, 3, seed);
+    let mut m: Machine<u64> = Machine::new(cfg);
+    m.start_trace();
+    let dist = run(&mut m, n, &g.offs, &g.adj).expect("bfs runs");
+    let trace = m.take_trace().expect("tracing was on");
+    assert_eq!(m.inspect(dist), bfs_reference(n, &g.offs, &g.adj));
+    assert_eq!(m.internal_used(), 0);
+    (digest(trace.events()), m.cost())
+}
+
+fn measure_gathers() -> Vec<(String, u64, u64, u64)> {
+    let mut rows = Vec::new();
+    for (label, cfg) in shapes() {
+        let b = cfg.block;
+        let mut push = |case: String, (d, c): (u64, Cost)| {
+            rows.push((format!("{case}@{label}"), d, c.reads, c.writes));
+        };
+        // Below one block, then ending one short of a block boundary (the
+        // offsets file's last word `offs[n]` opens a fresh block when
+        // `n % B == B - 1`), then exactly on one. At `B = 1` every `n` is
+        // on a boundary.
+        let k = (160 / b).max(3);
+        for n in [(b / 2).max(1), k * b - 1, k * b] {
+            // Seeds 0/1/2 are the path, random and star graphs.
+            for seed in [0u64, 1, 2] {
+                push(
+                    format!("bfs_mark/n={n},s={seed}"),
+                    bfs_case(cfg, n, seed, bfs_mark),
+                );
+                push(
+                    format!("bfs_rescan/n={n},s={seed}"),
+                    bfs_case(cfg, n, seed, bfs_rescan),
+                );
+            }
+        }
+        for (name, shape) in [
+            ("random", MatrixShape::Random { seed: 9 }),
+            (
+                "banded",
+                MatrixShape::Banded {
+                    bandwidth: 8,
+                    seed: 10,
+                },
+            ),
+            (
+                "block_diagonal",
+                MatrixShape::BlockDiagonal {
+                    block: 16,
+                    seed: 11,
+                },
+            ),
+        ] {
+            let conf = Conformation::generate(shape, 256, 4);
+            push(
+                format!("spmv/direct/{name}"),
+                spmv_case(cfg, &conf, spmv_direct_on),
+            );
+        }
+    }
+    rows
+}
+
+/// FNV-1a digest of each shape's generated triples. Random `n = 12` and
+/// block-diagonal `block = 16` sample with `range ≤ 4δ` (the shuffle
+/// branch of the row sampler); random `n = 1024`, block-diagonal
+/// `block = 64` and the interior of the `bandwidth = 8` band
+/// rejection-sample; the band's clipped edge columns shuffle.
+fn measure_conformations() -> Vec<(String, u64)> {
+    let shapes = [
+        ("random/n=12", MatrixShape::Random { seed: 1 }, 12),
+        ("random/n=1024", MatrixShape::Random { seed: 2 }, 1024),
+        (
+            "banded/w=8",
+            MatrixShape::Banded {
+                bandwidth: 8,
+                seed: 3,
+            },
+            512,
+        ),
+        (
+            "block_diagonal/b=16",
+            MatrixShape::BlockDiagonal { block: 16, seed: 4 },
+            512,
+        ),
+        (
+            "block_diagonal/b=64",
+            MatrixShape::BlockDiagonal { block: 64, seed: 5 },
+            512,
+        ),
+    ];
+    shapes
+        .into_iter()
+        .map(|(case, shape, n)| {
+            let conf = Conformation::generate(shape, n, 4);
+            let h = fnv1a(
+                conf.triples
+                    .iter()
+                    .flat_map(|t| [t.row as u64, t.col as u64]),
+            );
+            (case.to_string(), h)
+        })
+        .collect()
+}
+
+/// Compare measured rows with a golden table; on a mismatch, print the
+/// measured table in source form.
+fn assert_golden(rows: &[(String, u64, u64, u64)], golden: &[(&str, u64, u64, u64)]) {
     let table: String = rows
         .iter()
         .map(|(case, d, r, w)| format!("    (\"{case}\", {d:#018x}, {r}, {w}),\n"))
@@ -337,7 +690,32 @@ fn round_buffer_schedules_match_the_recorded_golden_digests() {
         .collect();
     assert_eq!(
         got.as_slice(),
-        GOLDEN,
+        golden,
         "I/O schedules moved; measured table:\n{table}"
+    );
+}
+
+#[test]
+fn round_buffer_schedules_match_the_recorded_golden_digests() {
+    assert_golden(&measure(), GOLDEN);
+}
+
+#[test]
+fn gather_schedules_match_the_recorded_golden_digests() {
+    assert_golden(&measure_gathers(), GATHER_GOLDEN);
+}
+
+#[test]
+fn generated_conformations_match_the_recorded_golden_digests() {
+    let rows = measure_conformations();
+    let table: String = rows
+        .iter()
+        .map(|(case, d)| format!("    (\"{case}\", {d:#018x}),\n"))
+        .collect();
+    let got: Vec<(&str, u64)> = rows.iter().map(|(c, d)| (c.as_str(), *d)).collect();
+    assert_eq!(
+        got.as_slice(),
+        CONFORMATION_GOLDEN,
+        "generated conformations moved; measured table:\n{table}"
     );
 }

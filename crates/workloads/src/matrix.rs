@@ -70,11 +70,12 @@ impl Conformation {
     pub fn generate(shape: MatrixShape, n: usize, delta: usize) -> Self {
         assert!(delta >= 1 && delta <= n, "need 1 <= delta <= n");
         let mut triples = Vec::with_capacity(n * delta);
+        let mut seen = vec![false; n];
         match shape {
             MatrixShape::Random { seed } => {
                 let mut rng = SplitMix64::seed_from_u64(seed);
                 for col in 0..n {
-                    let rows = sample_distinct(&mut rng, n, delta, 0);
+                    let rows = sample_distinct(&mut rng, n, delta, 0, &mut seen);
                     triples.extend(rows.into_iter().map(|row| Triple { row, col }));
                 }
             }
@@ -84,7 +85,7 @@ impl Conformation {
                     let lo = col.saturating_sub(bandwidth);
                     let hi = (col + bandwidth + 1).min(n);
                     assert!(hi - lo >= delta, "band too narrow for delta");
-                    let rows = sample_distinct(&mut rng, hi - lo, delta, lo);
+                    let rows = sample_distinct(&mut rng, hi - lo, delta, lo, &mut seen);
                     triples.extend(rows.into_iter().map(|row| Triple { row, col }));
                 }
             }
@@ -95,7 +96,7 @@ impl Conformation {
                     let base = (col / block) * block;
                     let width = block.min(n - base);
                     assert!(width >= delta, "tail block too small for delta");
-                    let rows = sample_distinct(&mut rng, width, delta, base);
+                    let rows = sample_distinct(&mut rng, width, delta, base, &mut seen);
                     triples.extend(rows.into_iter().map(|row| Triple { row, col }));
                 }
             }
@@ -156,7 +157,15 @@ impl Conformation {
 }
 
 /// Sample `k` distinct values from `offset..offset+range`, returned sorted.
-fn sample_distinct(rng: &mut SplitMix64, range: usize, k: usize, offset: usize) -> Vec<usize> {
+/// `seen` is a membership map over at least `range` slots, all `false` on
+/// entry and again on return, so one map serves every column.
+fn sample_distinct(
+    rng: &mut SplitMix64,
+    range: usize,
+    k: usize,
+    offset: usize,
+    seen: &mut [bool],
+) -> Vec<usize> {
     debug_assert!(k <= range);
     // For small ranges shuffle; for large, rejection-sample.
     let mut rows: Vec<usize> = if range <= 4 * k {
@@ -165,11 +174,18 @@ fn sample_distinct(rng: &mut SplitMix64, range: usize, k: usize, offset: usize) 
         all.truncate(k);
         all
     } else {
-        let mut seen = std::collections::HashSet::with_capacity(k * 2);
-        while seen.len() < k {
-            seen.insert(rng.next_below_usize(range));
+        let mut rows = Vec::with_capacity(k);
+        while rows.len() < k {
+            let r = rng.next_below_usize(range);
+            if !seen[r] {
+                seen[r] = true;
+                rows.push(r);
+            }
         }
-        seen.into_iter().collect()
+        for &r in &rows {
+            seen[r] = false;
+        }
+        rows
     };
     rows.sort_unstable();
     rows.iter_mut().for_each(|r| *r += offset);
