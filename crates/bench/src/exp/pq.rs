@@ -23,7 +23,7 @@ use aem_workloads::KeyDist;
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{ratio, Table};
 
-use super::sorting::run_merge_sort;
+use super::sorting::run_sort;
 
 /// Run the PQ-backed sorter on a fresh machine; returns the exact cost.
 /// The queue steers on key comparisons, so `backend` must carry payloads.
@@ -105,7 +105,7 @@ pub fn t9_sandwich(quick: bool, backend: Backend) -> Sweep {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
                 let pq = run_pq_sort(backend, cfg, n, 9);
-                let merge = run_merge_sort(backend, cfg, n, 9);
+                let merge = run_sort(backend, cfg, "aem", n, 9);
                 let pred = predict::pq_sort_cost(cfg, n);
                 CellOut::new()
                     .with_u64("omega", omega)

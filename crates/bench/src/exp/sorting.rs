@@ -6,9 +6,8 @@
 //! them (see [`crate::sweep`]).
 
 use aem_core::bounds::predict;
-use aem_core::sort::{
-    distribution_sort, em_merge_sort, heap_sort, merge_sort, merge_sort_with_fan_in,
-};
+use aem_core::sort::{merge_sort, merge_sort_with_fan_in};
+use aem_core::workload::run_sorter;
 use aem_machine::{with_payload_machine, AemAccess, AemConfig, Backend, Cost};
 use aem_obs::{node_depth, InstrumentedMachine};
 use aem_workloads::KeyDist;
@@ -16,39 +15,18 @@ use aem_workloads::KeyDist;
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{f, ratio, Table};
 
-/// Run the §3 mergesort on a fresh machine; returns the exact cost.
-/// Sorting steers on key comparisons, so `backend` must carry payloads.
-pub fn run_merge_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
+/// Run the registered sorter `algo` (`aem|em|dist|heap|pq`) on `n`
+/// uniform keys on a fresh machine; returns the exact cost. Sorting steers
+/// on key comparisons, so `backend` must carry payloads.
+pub fn run_sort(backend: Backend, cfg: AemConfig, algo: &str, n: usize, seed: u64) -> Cost {
     let input = KeyDist::Uniform { seed }.generate(n);
     with_payload_machine!(backend, u64, |M| {
         let mut m = M::new(cfg);
         let r = m.install(&input);
-        let out = merge_sort(&mut m, r).expect("merge_sort");
+        let out = run_sorter(algo, &mut m, r).expect(algo);
         debug_assert_eq!(m.inspect(out).len(), n);
         m.cost()
-    }, ghost => unreachable!("merge sort reads keys; not payload-oblivious"))
-}
-
-/// Run the EM baseline; returns the exact cost.
-pub fn run_em_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        em_merge_sort(&mut m, r).expect("em_merge_sort");
-        m.cost()
-    }, ghost => unreachable!("merge sort reads keys; not payload-oblivious"))
-}
-
-/// Run the distribution-sort baseline; returns the exact cost.
-pub fn run_distribution_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        distribution_sort(&mut m, r).expect("distribution_sort");
-        m.cost()
-    }, ghost => unreachable!("distribution sort reads keys; not payload-oblivious"))
+    }, ghost => unreachable!("sorting reads keys; not payload-oblivious"))
 }
 
 /// The normalization denominator of Theorem 3.2: `ω n ⌈log_{ωm} n⌉`.
@@ -154,26 +132,13 @@ pub fn t1_sorter_zoo(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let input = KeyDist::Uniform { seed: 6 }.generate(n);
-                let run = |which: usize| -> u64 {
-                    with_payload_machine!(backend, u64, |M| {
-                        let mut m = M::new(cfg);
-                        let r = m.install(&input);
-                        match which {
-                            0 => drop(merge_sort(&mut m, r).expect("sort")),
-                            1 => drop(heap_sort(&mut m, r).expect("sort")),
-                            2 => drop(em_merge_sort(&mut m, r).expect("sort")),
-                            _ => drop(distribution_sort(&mut m, r).expect("sort")),
-                        }
-                        m.cost().q(omega)
-                    }, ghost => unreachable!("sorting sweeps are not built for ghost"))
-                };
+                let q = |algo: &str| run_sort(backend, cfg, algo, n, 6).q(omega);
                 CellOut::new()
                     .with_u64("omega", omega)
-                    .with_u64("q_aem", run(0))
-                    .with_u64("q_heap", run(1))
-                    .with_u64("q_em", run(2))
-                    .with_u64("q_dist", run(3))
+                    .with_u64("q_aem", q("aem"))
+                    .with_u64("q_heap", q("heap"))
+                    .with_u64("q_em", q("em"))
+                    .with_u64("q_dist", q("dist"))
             })
         })
         .collect();
@@ -333,7 +298,7 @@ pub fn t1_n_sweep(quick: bool, backend: Backend) -> Sweep {
         .iter()
         .map(|&n| {
             Cell::new(format!("n={n}"), move || {
-                let c = run_merge_sort(backend, cfg, n, 1);
+                let c = run_sort(backend, cfg, "aem", n, 1);
                 CellOut::new()
                     .with_u64("n", n as u64)
                     .with_u64("reads", c.reads)
@@ -386,7 +351,7 @@ pub fn t1_omega_sweep(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let c = run_merge_sort(backend, cfg, n, 2);
+                let c = run_sort(backend, cfg, "aem", n, 2);
                 CellOut::new()
                     .with_u64("omega", omega)
                     .with_u64("reads", c.reads)
@@ -450,9 +415,9 @@ pub fn f1_vs_em(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let aem = run_merge_sort(backend, cfg, n, 3);
-                let em = run_em_sort(backend, cfg, n, 3);
-                let dist = run_distribution_sort(backend, cfg, n, 3);
+                let aem = run_sort(backend, cfg, "aem", n, 3);
+                let em = run_sort(backend, cfg, "em", n, 3);
+                let dist = run_sort(backend, cfg, "dist", n, 3);
                 CellOut::new()
                     .with_u64("omega", omega)
                     .with_u64("aem_reads", aem.reads)

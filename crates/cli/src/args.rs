@@ -90,6 +90,18 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// The names of the `--key value` options given, sorted.
+    pub fn option_names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self.opts.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// The names of the bare `--flag` switches given, in order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.iter().map(String::as_str)
+    }
 }
 
 #[cfg(test)]
@@ -112,10 +124,10 @@ mod tests {
 
     #[test]
     fn parses_key_equals_value() {
-        let a = Args::parse(toks("sort --n=4096 --algo=aem --trace-out=t.jsonl")).unwrap();
+        let a = Args::parse(toks("profile --n=4096 --algo=aem --out=prof")).unwrap();
         assert_eq!(a.get("n"), Some("4096"));
         assert_eq!(a.get("algo"), Some("aem"));
-        assert_eq!(a.get("trace-out"), Some("t.jsonl"));
+        assert_eq!(a.get("out"), Some("prof"));
         assert_eq!(a.get_or("n", 0usize).unwrap(), 4096);
     }
 

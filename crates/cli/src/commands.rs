@@ -1,47 +1,21 @@
 //! `aemsim` subcommand implementations. Each returns its report as a
 //! `String` so the handlers are unit-testable without capturing stdout.
 
-use aem_core::bounds::predict;
 use aem_core::bounds::{flash as fbounds, permute as pbounds, spmv as sbounds};
-use aem_core::permute::{
-    permute_auto, permute_by_sort, permute_by_sort_on, permute_naive, DestTagged,
-};
-use aem_core::pq::replacement_select;
 use aem_core::relational::{group_aggregate, sort_merge_join, Tuple};
-use aem_core::sort::{distribution_sort, em_merge_sort, heap_sort, merge_sort, sort_via_pq};
-use aem_core::spmv::{
-    install_instance, reference_multiply, spmv_direct, spmv_direct_on, spmv_sorted, spmv_sorted_on,
-    MatEntry, SpmvInstance, U64Ring,
-};
 use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
 use aem_flash::driver::naive_atom_permutation;
 use aem_flash::verify_lemma_4_3;
 use aem_fuzz::{DistKind, FuzzCase, FuzzOptions};
-use aem_machine::{AemAccess, AemConfig, Backend, Cost, Machine, Region};
+use aem_machine::{AemAccess, AemConfig, Backend, Cost, Machine};
 use aem_obs::{
-    render_markdown, render_text, run_all, tail_from_record, InstrumentedMachine, Profile,
-    ProfileHarness, RunRecord, WorkloadMeta,
+    render_markdown, render_text, run_all, tail_from_record, Profile, ProfileHarness, RunRecord,
 };
-use aem_workloads::{perm, Conformation, KeyDist, MatrixShape, PermKind};
+use aem_workloads::{KeyDist, PermKind};
 
 use aem_serve::{install_shutdown_signals, run_load, serve, LoadOptions, ServeOptions};
 
 use crate::args::Args;
-
-/// Write `record` as JSONL to `path` and return the lines to append to the
-/// command's report: the export note plus the paper-invariant verdicts.
-fn export_record(path: &str, record: &RunRecord) -> Result<String, String> {
-    std::fs::write(path, record.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    let mut out = format!(
-        "\ntrace record: {} events, {} phases -> {path}\n",
-        record.trace.len(),
-        record.phases.len()
-    );
-    for c in run_all(record) {
-        out.push_str(&format!("  [{}] {}: {}\n", c.verdict(), c.name, c.detail));
-    }
-    Ok(out)
-}
 
 /// Parse the shared machine options (`--mem --block --omega`).
 pub fn machine_config(args: &Args) -> Result<AemConfig, String> {
@@ -51,39 +25,6 @@ pub fn machine_config(args: &Args) -> Result<AemConfig, String> {
     AemConfig::new(mem, block, omega).map_err(|e| e.to_string())
 }
 
-fn key_dist(args: &Args, seed: u64) -> Result<KeyDist, String> {
-    Ok(match args.get("dist").unwrap_or("uniform") {
-        "uniform" => KeyDist::Uniform { seed },
-        "sorted" => KeyDist::Sorted,
-        "reversed" => KeyDist::Reversed,
-        "few-distinct" => KeyDist::FewDistinct { distinct: 16, seed },
-        "organ-pipe" => KeyDist::OrganPipe,
-        other => return Err(format!("unknown --dist '{other}'")),
-    })
-}
-
-fn perm_kind(args: &Args, n: usize, seed: u64) -> Result<PermKind, String> {
-    Ok(match args.get("kind").unwrap_or("random") {
-        "random" => PermKind::Random { seed },
-        "identity" => PermKind::Identity,
-        "reverse" => PermKind::Reverse,
-        "bit-reversal" => {
-            if !n.is_power_of_two() {
-                return Err("--kind bit-reversal requires a power-of-two --n".into());
-            }
-            PermKind::BitReversal
-        }
-        "transpose" => {
-            let rows = args.get_or("rows", (n as f64).sqrt() as usize)?;
-            if rows == 0 || n % rows != 0 {
-                return Err("--kind transpose requires --rows dividing --n".into());
-            }
-            PermKind::Transpose { rows }
-        }
-        other => return Err(format!("unknown --kind '{other}'")),
-    })
-}
-
 fn cost_line(label: &str, cost: Cost, omega: u64) -> String {
     format!(
         "{label:<24} {: >10} reads  {: >10} writes  Q = {}\n",
@@ -91,238 +32,6 @@ fn cost_line(label: &str, cost: Cost, omega: u64) -> String {
         cost.writes,
         cost.q(omega)
     )
-}
-
-/// Run the sorter `which` (`aem|em|dist|heap|pq`) on any machine.
-fn run_sorter<A: AemAccess<u64>>(which: &str, m: &mut A, r: Region) -> Result<Region, String> {
-    match which {
-        "aem" => merge_sort(m, r),
-        "em" => em_merge_sort(m, r),
-        "dist" => distribution_sort(m, r),
-        "heap" => heap_sort(m, r),
-        "pq" => sort_via_pq(m, r),
-        other => return Err(format!("unknown --algo '{other}' (aem|em|dist|heap|pq)")),
-    }
-    .map_err(|e| e.to_string())
-}
-
-/// `aemsim sort` — run one (or all) sorter on a generated workload.
-pub fn cmd_sort(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 100_000usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-    let algo = args.get("algo").unwrap_or("all");
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: sort N={n} ({})\n\n",
-        args.get("dist").unwrap_or("uniform")
-    );
-    let mut run = |name: &str, which: &str| -> Result<(), String> {
-        let mut m: Machine<u64> = Machine::new(cfg);
-        let r = m.install(&input);
-        let sorted = run_sorter(which, &mut m, r)?;
-        let got = m.inspect(sorted);
-        if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-            return Err(format!("{name}: output verification failed"));
-        }
-        out.push_str(&cost_line(name, m.cost(), cfg.omega));
-        Ok(())
-    };
-    match algo {
-        "all" => {
-            run("AEM mergesort (§3)", "aem")?;
-            run("EM mergesort", "em")?;
-            run("distribution sort", "dist")?;
-            run("heapsort (ext. PQ)", "heap")?;
-            run("PQ sort (buffered)", "pq")?;
-        }
-        "aem" | "em" | "dist" | "heap" | "pq" => run(algo, algo)?,
-        other => {
-            return Err(format!(
-                "unknown --algo '{other}' (aem|em|dist|heap|pq|all)"
-            ))
-        }
-    }
-    let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
-    out.push_str(&format!(
-        "\nThm 4.5 lower bound (applies to sorting): {lb:.0}\n"
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of one sorter (the chosen one, or the §3
-        // mergesort under --algo all) to capture the full run record.
-        let which = if algo == "all" { "aem" } else { algo };
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        let sorted = run_sorter(which, &mut im, r)?;
-        let got = im.inner().inspect(sorted);
-        if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-            return Err(format!("{which}: output verification failed"));
-        }
-        let rec = im.into_record(WorkloadMeta::new("sort", which, n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
-
-/// `aemsim permute` — run the permuting strategies and compare with bounds.
-pub fn cmd_permute(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 65_536usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let kind = perm_kind(args, n, seed)?;
-    let pi = kind.generate(n);
-    let values: Vec<u64> = (0..n as u64).collect();
-    let want = perm::apply(&pi, &values);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: permute N={n} ({})\n\n",
-        kind.label()
-    );
-    let naive = permute_naive(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    if naive.output != want {
-        return Err("naive: verification failed".into());
-    }
-    out.push_str(&cost_line("naive gather", naive.cost, cfg.omega));
-    let sort = permute_by_sort(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    if sort.output != want {
-        return Err("by-sort: verification failed".into());
-    }
-    out.push_str(&cost_line("by sorting (§3)", sort.cost, cfg.omega));
-    let (auto, strategy) = permute_auto(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    out.push_str(&cost_line(
-        &format!("auto → {strategy:?}"),
-        auto.cost,
-        cfg.omega,
-    ));
-
-    let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
-    let branch = pbounds::active_branch(n as u64, cfg);
-    let flash = fbounds::flash_reduction_cost_bound(n as u64, cfg);
-    out.push_str(&format!(
-        "\nThm 4.5 counting bound: {lb:.0} (active branch: {branch:?}); best measured/bound = {:.1}\n",
-        naive.q().min(sort.q()) as f64 / lb.max(1.0)
-    ));
-    if flash > 0.0 {
-        out.push_str(&format!("Cor 4.4 flash-reduction bound: {flash:.0}\n"));
-    }
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the sort-based permuter.
-        let tagged: Vec<DestTagged<u64>> = values
-            .iter()
-            .zip(pi.iter())
-            .map(|(v, &d)| DestTagged {
-                dest: d as u64,
-                value: *v,
-            })
-            .collect();
-        let mut im = InstrumentedMachine::new(Machine::<DestTagged<u64>>::new(cfg));
-        let input = im.inner_mut().install(&tagged);
-        let outr = permute_by_sort_on(&mut im, input).map_err(|e| e.to_string())?;
-        let got: Vec<u64> = im
-            .inner()
-            .inspect(outr)
-            .into_iter()
-            .map(|t| t.value)
-            .collect();
-        if got != want {
-            return Err("by-sort (instrumented): verification failed".into());
-        }
-        let rec = im.into_record(WorkloadMeta::new("permute", "by_sort", n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
-
-/// `aemsim spmv` — run both SpMxV programs on a generated conformation.
-pub fn cmd_spmv(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 4096usize)?;
-    let delta = args.get_or("delta", 4usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let shape = match args.get("shape").unwrap_or("random") {
-        "random" => MatrixShape::Random { seed },
-        "banded" => MatrixShape::Banded {
-            bandwidth: args.get_or("bandwidth", 4 * delta)?,
-            seed,
-        },
-        "block-diagonal" => MatrixShape::BlockDiagonal {
-            block: args.get_or("mblock", (2 * delta).max(8))?,
-            seed,
-        },
-        other => return Err(format!("unknown --shape '{other}'")),
-    };
-    let conf = Conformation::generate(shape, n, delta);
-    let a: Vec<U64Ring> = (0..conf.nnz())
-        .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
-        .collect();
-    let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
-    let want = reference_multiply(&conf, &a, &x);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: SpMxV {n}x{n}, δ={delta} (H={}), {} conformation\n\n",
-        conf.nnz(),
-        args.get("shape").unwrap_or("random")
-    );
-    let d = spmv_direct(cfg, &conf, &a, &x).map_err(|e| e.to_string())?;
-    if d.output != want {
-        return Err("direct: verification failed".into());
-    }
-    out.push_str(&cost_line("direct O(H + ωn)", d.cost, cfg.omega));
-    let s = spmv_sorted(cfg, &conf, &a, &x).map_err(|e| e.to_string())?;
-    if s.output != want {
-        return Err("sorted: verification failed".into());
-    }
-    out.push_str(&cost_line("sorting-based (§5)", s.cost, cfg.omega));
-
-    let lb = sbounds::spmv_cost_lower_bound(n as u64, delta as u64, cfg);
-    let applies = sbounds::theorem_applies(n as u64, delta as u64, cfg, 0.05);
-    out.push_str(&format!(
-        "\nThm 5.1 bound: {lb:.0} (parameter range {}); best measured/bound = {}\n",
-        if applies {
-            "satisfied"
-        } else {
-            "NOT satisfied — bound informational"
-        },
-        if lb > 0.0 {
-            format!("{:.1}", d.q().min(s.q()) as f64 / lb)
-        } else {
-            "—".into()
-        },
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the chosen SpMxV program (sorted by
-        // default — it is the paper's §5 upper bound).
-        let which = args.get("algo").unwrap_or("sorted");
-        let inst = SpmvInstance {
-            conf: &conf,
-            a_vals: &a,
-            x: &x,
-        };
-        let mut im = InstrumentedMachine::new(Machine::<MatEntry<U64Ring>>::new(cfg));
-        let (ar, xr) = install_instance(im.inner_mut(), &inst);
-        let y = match which {
-            "sorted" => spmv_sorted_on(&mut im, &conf, ar, xr),
-            "direct" => spmv_direct_on(&mut im, &conf, ar, xr),
-            other => return Err(format!("unknown --algo '{other}' (sorted|direct)")),
-        }
-        .map_err(|e| e.to_string())?;
-        let got: Vec<U64Ring> = im.inner().inspect(y).into_iter().map(|e| e.val).collect();
-        if got != want {
-            return Err(format!("{which} (instrumented): verification failed"));
-        }
-        let rec = im.into_record(WorkloadMeta::with_delta(
-            "spmv",
-            which,
-            n as u64,
-            delta as u64,
-        ));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
 }
 
 /// `aemsim bounds` — print every bound value for a parameter point.
@@ -434,128 +143,6 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
         join_cost.q(cfg.omega),
         cost.q(cfg.omega),
     ))
-}
-
-/// `aemsim trace` — record an algorithm's I/O trace and report its
-/// structure (the §2 program view of an execution).
-pub fn cmd_trace(args: &Args) -> Result<String, String> {
-    use aem_machine::rounds::{round_based_cost, round_decompose};
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 16_384usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-    let algo = args.get("algo").unwrap_or("aem");
-
-    let mut m: Machine<u64> = Machine::new(cfg);
-    let r = m.install(&input);
-    m.start_trace();
-    run_sorter(algo, &mut m, r)?;
-    let trace = m.take_trace().ok_or("no trace recorded")?;
-    let stats = trace.stats();
-    let rounds = round_decompose(&trace, cfg);
-    let q = trace.cost().q(cfg.omega);
-    let q_rb = round_based_cost(&trace, cfg).q(cfg.omega);
-
-    let mut extra = String::new();
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run with full phase attribution (the plain
-        // machine trace above has no phase spans).
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        run_sorter(algo, &mut im, r)?;
-        let rec = im.into_record(WorkloadMeta::new("sort", algo, n as u64));
-        extra = export_record(path, &rec)?;
-    }
-
-    Ok(format!(
-        "machine: {cfg}\n\
-         program: {algo} sort of N={n} ({} events)\n\n\
-         data I/O:   {} reads, {} writes\n\
-         aux  I/O:   {} reads, {} writes  ({:.1}% of all I/O)\n\
-         distinct blocks read: {}; max re-reads of one block: {}\n\
-         I/O volume: {} elements\n\n\
-         Q = {}\n\
-         ωm-rounds (greedy decomposition): {}\n\
-         Lemma 4.1 round-based conversion cost: {} ({:.2}x)\n{extra}",
-        trace.len(),
-        stats.data_reads,
-        stats.data_writes,
-        stats.aux_reads,
-        stats.aux_writes,
-        100.0 * stats.aux_fraction(),
-        stats.distinct_blocks_read,
-        stats.max_rereads,
-        stats.volume,
-        q,
-        rounds.len(),
-        q_rb,
-        q_rb as f64 / q.max(1) as f64,
-    ))
-}
-
-/// `aemsim pq` — exercise the buffered external priority queue: one
-/// replacement-selection pass over the workload, then a full
-/// insert-all/extract-all sort reported against the exact-schedule
-/// predictor and the §3 mergesort.
-pub fn cmd_pq(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 65_536usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: pq N={n} ({})\n\n",
-        args.get("dist").unwrap_or("uniform")
-    );
-
-    // One replacement-selection pass: the run-generation workload.
-    let mut m: Machine<u64> = Machine::new(cfg);
-    let r = m.install(&input);
-    let (runs, stats) = replacement_select(&mut m, r).map_err(|e| e.to_string())?;
-    if runs.iter().map(|r| r.elems).sum::<usize>() != n {
-        return Err("run generation: element count mismatch".into());
-    }
-    let avg = n as f64 / stats.runs.max(1) as f64;
-    out.push_str(&format!(
-        "run generation (replacement selection, h = {}):\n  {} runs, avg length {:.1} ({:.2}x h)\n",
-        stats.heap_capacity,
-        stats.runs,
-        avg,
-        avg / stats.heap_capacity as f64,
-    ));
-    out.push_str(&cost_line("  single pass", m.cost(), cfg.omega));
-
-    // Full sort through the queue, against the predictor and mergesort.
-    let mut mp: Machine<u64> = Machine::new(cfg);
-    let rp = mp.install(&input);
-    let sorted = sort_via_pq(&mut mp, rp).map_err(|e| e.to_string())?;
-    let got = mp.inspect(sorted);
-    if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-        return Err("pq sort: output verification failed".into());
-    }
-    let mut mm: Machine<u64> = Machine::new(cfg);
-    let rm = mm.install(&input);
-    merge_sort(&mut mm, rm).map_err(|e| e.to_string())?;
-    out.push('\n');
-    out.push_str(&cost_line("PQ sort (buffered)", mp.cost(), cfg.omega));
-    out.push_str(&cost_line("AEM mergesort (§3)", mm.cost(), cfg.omega));
-    let pred = predict::pq_sort_cost(cfg, n);
-    out.push_str(&format!(
-        "\nexact-schedule predictor: Q = {} (measured = {:.0}% of predicted)\nQ(PQ) / Q(mergesort) = {:.2}\n",
-        pred.q(cfg.omega),
-        100.0 * mp.cost().q(cfg.omega) as f64 / pred.q(cfg.omega).max(1) as f64,
-        mp.cost().q(cfg.omega) as f64 / mm.cost().q(cfg.omega).max(1) as f64,
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the PQ-backed sorter.
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        sort_via_pq(&mut im, r).map_err(|e| e.to_string())?;
-        let rec = im.into_record(WorkloadMeta::new("sort", "pq", n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
 }
 
 /// Parse the `--backend {vec,ghost,trace}` option (default: vec).
@@ -703,7 +290,7 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, String> {
 pub fn cmd_report(args: &Args) -> Result<String, String> {
     let path = args
         .get("in")
-        .ok_or("report requires --in FILE (a --trace-out export)")?;
+        .ok_or("report requires --in FILE (a profile PREFIX.record.jsonl)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let rec = RunRecord::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
     let checks = run_all(&rec);
@@ -732,70 +319,50 @@ fn workload_names() -> String {
         .join("|")
 }
 
-/// Resolve the shared registry options (`--n --delta --algo --seed`) for
-/// one workload operand into a validated run context. Defaults come from
-/// the kind's descriptor, so each registered kind names its own
+/// The workload operand of `command` (`run` or `profile`) and its
+/// `--algo`, the kind's default when absent.
+fn workload_operand<'a>(command: &str, args: &'a Args) -> Result<(WorkloadKind, &'a str), String> {
+    let name = args.operand.as_deref().ok_or_else(|| {
+        format!(
+            "{command} requires a workload operand: aemsim {command} {} [--algo --n --delta --backend ...]",
+            workload_names()
+        )
+    })?;
+    let kind = WorkloadKind::from_name(name)?;
+    let algo = args.get("algo").unwrap_or(kind.descriptor().default_algo);
+    Ok((kind, algo))
+}
+
+/// Resolve the shared registry options (`--n --delta --seed`) for one
+/// workload operand and algorithm into a validated run context. Defaults
+/// come from the kind's descriptor, so each registered kind names its own
 /// canonical profile shape.
-fn registry_ctx(kind: WorkloadKind, args: &Args) -> Result<RunCtx, String> {
+fn registry_ctx(kind: WorkloadKind, algo: &str, args: &Args) -> Result<RunCtx, String> {
     let w = kind.descriptor();
     let cfg = machine_config(args)?;
     let n = args.get_or("n", w.profile_n)?;
     let delta = args.get_or("delta", w.default_delta)?;
     let seed = args.get_or("seed", 1u64)?;
-    let algo = args.get("algo").unwrap_or(w.default_algo);
     RunCtx::new(kind, algo, cfg, n, delta, seed)
-}
-
-/// Build the instrumented run record — plus the live flight-recorder
-/// tail, which only exists machine-side — for one `profile` workload on
-/// one backend.
-///
-/// Fully registry-driven: the kind name, algorithm menu, shape defaults,
-/// and ghost policy all come from the `Workload` descriptor, so a newly
-/// registered kind is profilable with zero edits here.
-fn profile_record(
-    workload: &str,
-    backend: Backend,
-    args: &Args,
-) -> Result<(RunRecord, String), String> {
-    let kind = WorkloadKind::from_name(workload).map_err(|_| {
-        format!(
-            "unknown profile workload '{workload}' ({})",
-            workload_names()
-        )
-    })?;
-    let ctx = registry_ctx(kind, args)?;
-    // The cost-only backend carries no payloads: algorithms whose
-    // schedule routes on data refuse it (the registry says which).
-    if !backend.carries_payload() && !ctx.algo.ghost_runnable {
-        return Err(format!(
-            "profile {}/{} {}; use --backend {}",
-            kind.name(),
-            ctx.algo.name,
-            ctx.algo.ghost_note,
-            Backend::names(Backend::carries_payload, "|")
-        ));
-    }
-    let p = run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
-    Ok((p.record, p.flight_jsonl))
 }
 
 /// `aemsim run <workload>` — execute a registered workload live and
 /// report the measured cost next to the registry's priced candidate
 /// menu (every predictor that accepts this config, cheapest flagged).
+/// `--algo all` runs every registered algorithm in registry order, one
+/// cost row each, and fails if their outputs disagree.
 pub fn cmd_run(args: &Args) -> Result<String, String> {
-    let workload = args.operand.as_deref().ok_or_else(|| {
-        format!(
-            "run requires a workload operand: aemsim run {} [--algo --n --delta --backend ...]",
-            workload_names()
-        )
-    })?;
-    let kind = WorkloadKind::from_name(workload)?;
+    let (kind, algo) = workload_operand("run", args)?;
     let w = kind.descriptor();
     let backend = parse_backend(args)?;
-    let ctx = registry_ctx(kind, args)?;
-    let (cost, checksum) =
-        run_workload(&ctx, &mut LiveHarness { backend }).map_err(|e| e.to_string())?;
+    let all = algo == "all";
+    let ctxs = if all {
+        let each = w.algos.iter().map(|a| registry_ctx(kind, a.name, args));
+        each.collect::<Result<Vec<_>, _>>()?
+    } else {
+        vec![registry_ctx(kind, algo, args)?]
+    };
+    let ctx = ctxs[0];
 
     let delta_note = if w.requires_delta {
         format!(", {} = {}", w.delta_name, ctx.delta)
@@ -803,18 +370,37 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
         String::new()
     };
     let mut out = format!(
-        "machine: {}\nworkload: {}/{} N={}{delta_note} backend={}\n\n",
+        "machine: {}\nworkload: {kind}/{} N={}{delta_note} backend={}\n\n",
         ctx.cfg,
-        kind.name(),
-        ctx.algo.name,
+        if all { "all" } else { ctx.algo.name },
         ctx.n,
         backend.name(),
     );
-    out.push_str(&cost_line("measured", cost, ctx.cfg.omega));
-    if backend.carries_payload() {
-        out.push_str(&format!("output checksum: {checksum:#018x}\n"));
-    } else {
-        out.push_str("output checksum: none (cost-only backend)\n");
+    let mut harness = LiveHarness { backend };
+    let mut checksums = Vec::new();
+    for c in &ctxs {
+        let label = if all { c.algo.name } else { "measured" };
+        match harness.refusal(c) {
+            Some(why) if all => out.push_str(&format!("{label:<24} {why}\n")),
+            _ => {
+                let (cost, sum) = run_workload(c, &mut harness).map_err(|e| e.to_string())?;
+                out.push_str(&cost_line(label, cost, c.cfg.omega));
+                checksums.push((c.algo.name, sum));
+            }
+        }
+    }
+    match checksums.first() {
+        _ if !backend.carries_payload() => {
+            out.push_str("output checksum: none (cost-only backend)\n")
+        }
+        Some(&(_, sum)) if checksums.iter().all(|c| c.1 == sum) => {
+            out.push_str(&format!("output checksum: {sum:#018x}\n"))
+        }
+        _ => {
+            return Err(format!(
+                "{kind} algorithms disagree on the output: {checksums:x?}"
+            ))
+        }
     }
     let menu = w.menu(ctx.cfg, ctx.n, ctx.delta);
     if menu.is_empty() {
@@ -824,7 +410,7 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
         out.push_str("\ncandidate menu (exact-schedule predictions):\n");
         for (name, c) in &menu {
             let mut marks = String::new();
-            if *name == ctx.algo.name {
+            if !all && *name == ctx.algo.name {
                 marks.push_str("  ← ran");
             }
             if Some(*name) == best {
@@ -839,18 +425,25 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
 /// `aemsim profile <workload>` — run a workload on an instrumented
 /// machine and write its cost-attribution profile: folded stacks
 /// (flamegraph input), the per-block access heatmap, a Prometheus-style
-/// text exposition, and the flight-recorder tail. The summary printed to
-/// stdout carries the predictor-residual gauges and the heatmap.
+/// text exposition, the flight-recorder tail, and the full run record
+/// that `report --in` reloads. The summary printed to stdout carries the
+/// predictor-residual gauges and the heatmap.
 pub fn cmd_profile(args: &Args) -> Result<String, String> {
-    let workload = args.operand.as_deref().ok_or_else(|| {
-        format!(
-            "profile requires a workload operand: aemsim profile {} [--backend ...]",
-            workload_names()
-        )
-    })?;
+    let (kind, algo) = workload_operand("profile", args)?;
     let backend = parse_backend(args)?;
-    let cfg = machine_config(args)?;
-    let (rec, flight_jsonl) = profile_record(workload, backend, args)?;
+    let ctx = registry_ctx(kind, algo, args)?;
+    // The cost-only backend carries no payloads: algorithms whose
+    // schedule routes on data refuse it (the registry says which).
+    if !backend.carries_payload() && !ctx.algo.ghost_runnable {
+        return Err(format!(
+            "profile {kind}/{} {}; use --backend {}",
+            ctx.algo.name,
+            ctx.algo.ghost_note,
+            Backend::names(Backend::carries_payload, "|")
+        ));
+    }
+    let run = run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
+    let (cfg, rec, flight_jsonl) = (ctx.cfg, run.record, run.flight_jsonl);
     let profile = Profile::build(&rec, &[("backend", backend.name())]);
 
     let prefix = args.get("out").unwrap_or("aemsim-profile");
@@ -858,6 +451,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, String> {
         (".folded", profile.folded.as_str()),
         (".prom", profile.prometheus.as_str()),
         (".flight.jsonl", flight_jsonl.as_str()),
+        (".record.jsonl", rec.to_jsonl().as_str()),
     ] {
         let path = format!("{prefix}{suffix}");
         std::fs::write(&path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -894,7 +488,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, String> {
     out.push('\n');
     out.push_str(&heat_text);
     out.push_str(&format!(
-        "\nprofile artifacts (ω-weighted cost attribution):\n  {prefix}.folded        folded stacks, {} frames (flamegraph.pl/inferno input)\n  {prefix}.heatmap.txt   the heatmap above\n  {prefix}.prom          Prometheus text exposition, {} samples\n  {prefix}.flight.jsonl  flight-recorder tail, last {} of {} I/O events\n",
+        "\nprofile artifacts (ω-weighted cost attribution):\n  {prefix}.folded        folded stacks, {} frames (flamegraph.pl/inferno input)\n  {prefix}.heatmap.txt   the heatmap above\n  {prefix}.prom          Prometheus text exposition, {} samples\n  {prefix}.flight.jsonl  flight-recorder tail, last {} of {} I/O events\n  {prefix}.record.jsonl  full run record, all {} I/O events (report --in input)\n",
         profile.folded.lines().count(),
         profile
             .prometheus
@@ -902,6 +496,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, String> {
             .filter(|l| !l.starts_with('#'))
             .count(),
         flight_jsonl.lines().count(),
+        rec.trace.len(),
         rec.trace.len(),
     ));
     Ok(out)
@@ -968,29 +563,27 @@ pub fn usage() -> String {
 USAGE: aemsim <command> [--key value]...
 
 COMMANDS
-  sort      run sorters        --n --dist --algo aem|em|dist|heap|pq|all
-  pq        priority queue     --n --dist (replacement-selection run
-                               generation + PQ-backed sort vs predictor)
-  permute   run permuters      --n --kind random|identity|reverse|transpose|bit-reversal
-  spmv      run SpMxV          --n --delta --shape random|banded|block-diagonal
   bounds    evaluate bounds    --n --delta
-  join      relational ops     --left --right --keys
-  trace     record + analyze   --n --algo aem|em|dist|heap|pq
-  lemma43   flash reduction    --n
-  report    render a trace     --in FILE [--format text|md]
+  join      relational ops     --left --right --keys --seed
+  lemma43   flash reduction    --n --seed
+  report    render a record    --in FILE [--format text|md]
                                (exits nonzero if a paper-invariant
                                checker fails, with the I/O tail)
   run       registry run       <workload> = {workloads}
-                               [--backend {backends} --n --algo --delta]
+                               [--backend {backends} --n --algo A|all
+                                --delta --seed]
                                executes a registered workload live and
                                prints the measured cost beside the
-                               priced candidate menu (cheapest flagged)
+                               priced candidate menu (cheapest flagged);
+                               --algo all runs every registered
+                               algorithm and checks their outputs agree
   profile   cost attribution   <workload> = {workloads}
                                [--backend {backends} --out PREFIX
-                                --n --algo --delta]
+                                --n --algo --delta --seed]
                                writes PREFIX.folded (flamegraph input),
                                PREFIX.heatmap.txt, PREFIX.prom,
-                               PREFIX.flight.jsonl; prints predictor
+                               PREFIX.flight.jsonl and the run record
+                               PREFIX.record.jsonl; prints predictor
                                residuals + the per-block heatmap
   serve     job service        [--addr HOST:PORT --workers N --no-queue
                                 --admission-log FILE --metering-out FILE
@@ -1019,22 +612,73 @@ WORKLOADS (the registry behind run, profile, serve and fuzz)
 FUZZ TARGETS (--target takes exact names, prefixes, or comma lists)
   {targets}
 
-MACHINE OPTIONS (all commands)
+MACHINE OPTIONS (bounds, join, lemma43, run, profile, fuzz)
   --mem M      internal memory in elements   (default 1024)
   --block B    block size in elements        (default 64)
   --omega W    write/read cost ratio         (default 16)
-  --seed S     workload seed                 (default 1)
 
 OBSERVABILITY
-  sort, pq, permute, spmv and trace accept --trace-out FILE: the workload
-  is re-run on an instrumented machine and the full run record (config,
-  I/O events, phase spans, metrics) is exported as JSONL. The paper
-  invariants (§3 pointer rewrites, Lemma 4.1 rounds, cost sandwich) are
-  checked on export and again by `report`, which renders the
-  phase-attributed cost breakdown. Options use --key value or
-  --key=value.
+  run is the uninstrumented path and profile the instrumented one.
+  profile writes the full run record (config, I/O events, phase spans,
+  metrics) to PREFIX.record.jsonl; `report --in` reloads it, re-checks
+  the paper invariants (§3 pointer rewrites, Lemma 4.1 rounds, cost
+  sandwich) and renders the phase-attributed cost breakdown. Options
+  use --key value or --key=value; a command rejects any option it does
+  not read.
 "
     )
+}
+
+/// A command's handler.
+type Handler = fn(&Args) -> Result<String, String>;
+
+/// Every command: its name, its handler, the `--key value` options it
+/// reads and the bare `--flag` switches it reads. [`dispatch`] rejects any
+/// other option, so a mistyped or retired one fails instead of being
+/// silently ignored.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Handler, &str, &str)] = &[
+    ("bounds",     cmd_bounds,     "mem block omega n delta", ""),
+    ("join",       cmd_join,       "mem block omega left right keys seed", ""),
+    ("lemma43",    cmd_lemma43,    "mem block omega n seed", ""),
+    ("report",     cmd_report,     "in format", ""),
+    ("run",        cmd_run,        "mem block omega n delta seed algo backend", ""),
+    ("profile",    cmd_profile,    "mem block omega n delta seed algo backend out", ""),
+    ("serve",      cmd_serve,      "addr workers admission-log metering-out prom-out addr-file",
+                                   "no-queue"),
+    ("serve-load", cmd_serve_load, "addr tenants jobs seed", ""),
+    ("exp",        cmd_exp,        "jobs cache only backend", "quick fresh stats"),
+    ("fuzz",       cmd_fuzz,       "replay target case-seed dist distinct mem block omega n delta \
+                                    backend seed iters time-budget-secs repro-out", ""),
+];
+
+/// `true` if the space-separated `list` names `key`.
+fn lists(list: &str, key: &str) -> bool {
+    list.split_whitespace().any(|k| k == key)
+}
+
+/// Reject every option command `name` does not read, naming it.
+fn check_options(name: &str, options: &str, flags: &str, args: &Args) -> Result<(), String> {
+    let given = args.option_names();
+    if let Some(key) = args.flag_names().find(|k| lists(options, k)) {
+        return Err(format!("{name}: --{key} needs a value"));
+    }
+    if let Some(key) = given.iter().find(|k| lists(flags, k)) {
+        return Err(format!("{name}: --{key} is a flag and takes no value"));
+    }
+    let unread: Vec<&str> = given
+        .into_iter()
+        .filter(|k| !lists(options, k))
+        .chain(args.flag_names().filter(|k| !lists(flags, k)))
+        .collect();
+    if unread.is_empty() {
+        return Ok(());
+    }
+    let (unread, reads) = (unread.join(", --"), format!("{options} {flags}"));
+    Err(format!(
+        "{name} does not read --{unread} (it reads: {})",
+        reads.trim()
+    ))
 }
 
 /// Dispatch a parsed command line.
@@ -1042,25 +686,15 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
     if args.flag("help") {
         return Ok(usage());
     }
-    match args.command.as_deref() {
-        Some("sort") => cmd_sort(args),
-        Some("pq") => cmd_pq(args),
-        Some("permute") => cmd_permute(args),
-        Some("spmv") => cmd_spmv(args),
-        Some("bounds") => cmd_bounds(args),
-        Some("join") => cmd_join(args),
-        Some("trace") => cmd_trace(args),
-        Some("lemma43") => cmd_lemma43(args),
-        Some("report") => cmd_report(args),
-        Some("run") => cmd_run(args),
-        Some("profile") => cmd_profile(args),
-        Some("serve") => cmd_serve(args),
-        Some("serve-load") => cmd_serve_load(args),
-        Some("exp") => cmd_exp(args),
-        Some("fuzz") => cmd_fuzz(args),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{}", usage())),
-        None => Ok(usage()),
-    }
+    let Some(name) = args.command.as_deref() else {
+        return Ok(usage());
+    };
+    let &(_, run, options, flags) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown command '{name}'\n\n{}", usage()))?;
+    check_options(name, options, flags, args)?;
+    run(args)
 }
 
 #[cfg(test)]
@@ -1072,61 +706,187 @@ mod tests {
         dispatch(&args)
     }
 
+    fn tmp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("aemsim-test-{}-{name}", std::process::id()))
+    }
+
+    /// Remove every artifact `profile --out prefix` writes.
+    fn remove_profile_artifacts(prefix: &str) {
+        for suffix in [
+            ".folded",
+            ".heatmap.txt",
+            ".prom",
+            ".flight.jsonl",
+            ".record.jsonl",
+        ] {
+            std::fs::remove_file(format!("{prefix}{suffix}")).ok();
+        }
+    }
+
+    /// `profile <line>` into a scratch prefix, then `report --in` on the
+    /// record it wrote, rendered as `format`: the reloaded record and the
+    /// report, which must show all three paper-invariant checkers passing.
+    fn profile_then_report(tag: &str, line: &str, format: &str) -> (RunRecord, String) {
+        let prefix = tmp_path(tag);
+        let p = prefix.to_str().unwrap();
+        run(&format!("profile {line} --out {p}")).unwrap();
+        let path = format!("{p}.record.jsonl");
+        let rec = RunRecord::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let report = run(&format!("report --in {path} --format {format}"));
+        remove_profile_artifacts(p);
+        let report = report.unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(report.matches("PASS").count(), 3, "{line}: {report}");
+        (rec, report)
+    }
+
     #[test]
     fn sort_all_small() {
-        let out = run("sort --n 2000 --mem 64 --block 8 --omega 8").unwrap();
-        assert!(out.contains("AEM mergesort"));
-        assert!(out.contains("heapsort"));
-        assert!(out.contains("lower bound"));
+        let out = run("run sort --algo all --n 2000 --mem 64 --block 8 --omega 8").unwrap();
+        assert!(out.contains("workload: sort/all N=2000"), "{out}");
+        assert_eq!(out.matches("output checksum: 0x").count(), 1, "{out}");
+        assert_eq!(out.matches("candidate menu").count(), 1, "{out}");
+        assert!(!out.contains("← ran"), "{out}");
     }
 
     #[test]
     fn sort_single_algo_and_dists() {
-        for d in [
-            "uniform",
-            "sorted",
-            "reversed",
-            "few-distinct",
-            "organ-pipe",
-        ] {
+        // The sort seed picks the key distribution: seeds 0..5 cover
+        // sorted, reversed, few-distinct, organ-pipe and uniform keys.
+        for seed in 0..5 {
             let out = run(&format!(
-                "sort --n 500 --mem 64 --block 8 --algo aem --dist {d}"
+                "run sort --n 500 --mem 64 --block 8 --algo aem --seed {seed}"
             ))
             .unwrap();
-            assert!(out.contains("Q ="), "{d}");
+            assert!(out.contains("Q ="), "seed {seed}: {out}");
         }
-        assert!(run("sort --algo nope --n 10 --mem 64 --block 8").is_err());
-        assert!(run("sort --dist nope --n 10 --mem 64 --block 8").is_err());
+        assert!(run("run sort --algo nope --n 10 --mem 64 --block 8").is_err());
+        let err = run("run sort --dist reversed --n 10 --mem 64 --block 8").unwrap_err();
+        assert!(err.contains("--dist"), "{err}");
     }
 
     #[test]
     fn pq_command_and_sort_algo() {
-        let out = run("pq --n 2000 --mem 64 --block 8 --omega 16").unwrap();
-        assert!(out.contains("replacement selection"), "{out}");
-        assert!(out.contains("PQ sort (buffered)"), "{out}");
-        assert!(out.contains("exact-schedule predictor"), "{out}");
+        let out = run("run pq --n 2000 --mem 64 --block 8 --omega 16").unwrap();
+        assert!(out.contains("pq/pq"), "{out}");
+        assert!(out.contains("exact-schedule predictions"), "{out}");
+        assert!(out.contains("← ran"), "{out}");
 
-        let out = run("sort --n 1000 --mem 64 --block 8 --algo pq").unwrap();
+        let out = run("run sort --n 1000 --mem 64 --block 8 --algo pq").unwrap();
+        assert!(out.contains("sort/pq"), "{out}");
         assert!(out.contains("Q ="), "{out}");
-        let out = run("trace --n 1024 --mem 64 --block 8 --algo pq").unwrap();
-        assert!(out.contains("ωm-rounds"), "{out}");
     }
 
     #[test]
     fn pq_trace_export_checks_pass() {
-        let path = tmp_path("pq.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!(
-            "pq --n 2048 --mem 64 --block 8 --omega 16 --trace-out {p}"
-        ))
-        .unwrap();
-        assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
-        assert!(!out.contains("[FAIL]"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rec = RunRecord::from_jsonl(&text).unwrap();
+        let line = "pq --n 2048 --mem 64 --block 8 --omega 16";
+        let (rec, _) = profile_then_report("pq", line, "text");
         assert_eq!(rec.workload.algo, "pq");
         assert!(rec.phases.iter().any(|ph| ph.name == "pq-drain"));
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn profile_then_report_passes_every_checker_for_every_registered_pair() {
+        // Every registered (kind, algo) at profile defaults on vec: the
+        // record `profile` writes reloads, and all three checkers pass.
+        let pairs: Vec<(&str, &str)> = WorkloadKind::ALL
+            .iter()
+            .flat_map(|k| k.descriptor().algos.iter().map(|a| (k.name(), a.name)))
+            .collect();
+        assert_eq!(pairs.len(), 20);
+        for (kind, algo) in pairs {
+            let line = format!("{kind} --algo {algo}");
+            let (rec, _) = profile_then_report(&format!("pair-{kind}-{algo}"), &line, "text");
+            assert_eq!(rec.workload.kind, kind);
+            assert_eq!(rec.workload.algo, algo);
+        }
+    }
+
+    #[test]
+    fn run_algo_all_prints_a_row_per_registered_algorithm() {
+        for kind in WorkloadKind::ALL {
+            let algos = kind.descriptor().algos;
+            for backend in ["vec", "ghost"] {
+                let line =
+                    format!("run {kind} --algo all --n 300 --mem 64 --block 8 --backend {backend}");
+                let out = run(&line).unwrap();
+                // After the header: one row per algorithm in registry
+                // order, then the one checksum line.
+                let block = out.split("\n\n").nth(1).unwrap();
+                let (rows, checksum) = block.rsplit_once('\n').unwrap();
+                assert_eq!(rows.lines().count(), algos.len(), "{line}: {out}");
+                for (row, a) in rows.lines().zip(algos) {
+                    let refused = backend == "ghost" && !a.ghost_sound;
+                    assert!(row.starts_with(&format!("{:<24} ", a.name)), "{row}");
+                    assert_eq!(row.contains("ghost is unsound"), refused, "{line}: {row}");
+                }
+                let sum = if backend == "vec" { "0x" } else { "none" };
+                assert!(
+                    checksum.starts_with(&format!("output checksum: {sum}")),
+                    "{out}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_naming_the_command() {
+        for (line, option, command) in [
+            ("run sort --n 64 --trace-out x.jsonl", "--trace-out", "run"),
+            ("run sort --n 64 --dist reversed", "--dist", "run"),
+            ("bounds --frobnicate 3", "--frobnicate", "bounds"),
+            ("report --in x.jsonl --verbose", "--verbose", "report"),
+        ] {
+            let err = run(line).unwrap_err();
+            assert!(
+                err.contains(option) && err.starts_with(command),
+                "{line}: {err}"
+            );
+        }
+        assert!(!std::path::Path::new("x.jsonl").exists());
+        // Options and flags keep their own shape.
+        let err = run("run sort --n").unwrap_err();
+        assert!(err.contains("--n needs a value"), "{err}");
+        let err = run("exp --quick yes").unwrap_err();
+        assert!(err.contains("--quick is a flag"), "{err}");
+    }
+
+    #[test]
+    fn every_usage_listed_option_is_accepted() {
+        let text = usage();
+        let section = |heading: &str| {
+            let body = text.split(heading).nth(1).unwrap();
+            body.split("\n\n").next().unwrap()
+        };
+        let listed = |line: &str| -> Vec<String> {
+            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .filter(|k| !k.is_empty())
+                .map(str::to_string)
+                .collect()
+        };
+        let accepts = |name: &str, key: &str| {
+            COMMANDS
+                .iter()
+                .any(|&(n, _, opts, flags)| n == name && (lists(opts, key) || lists(flags, key)))
+        };
+        // A COMMANDS line at two-space indent opens a command's entry;
+        // deeper lines continue it.
+        let mut name = "";
+        for line in section("COMMANDS\n").lines() {
+            if !line.starts_with("   ") {
+                name = line.split_whitespace().next().unwrap();
+            }
+            for key in listed(line) {
+                assert!(accepts(name, &key), "{name} rejects --{key}");
+            }
+        }
+        // Every command the MACHINE OPTIONS heading names reads them all.
+        let (heading, machine) = section("MACHINE OPTIONS").split_once('\n').unwrap();
+        for &(name, ..) in COMMANDS.iter().filter(|c| heading.contains(c.0)) {
+            for key in listed(machine) {
+                assert!(accepts(name, &key), "{name} rejects --{key}");
+            }
+        }
     }
 
     #[test]
@@ -1254,9 +1014,7 @@ mod tests {
         assert!(out.contains("profile artifacts"), "{out}");
         let folded = std::fs::read_to_string(format!("{p}.folded")).unwrap();
         assert!(folded.contains("search/btree;"), "{folded}");
-        for suffix in [".folded", ".heatmap.txt", ".prom", ".flight.jsonl"] {
-            std::fs::remove_file(format!("{p}{suffix}")).ok();
-        }
+        remove_profile_artifacts(p);
         // Key-routed descent refuses the ghost backend; the oblivious
         // layouts accept it.
         assert!(
@@ -1270,33 +1028,7 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("search/binary"), "{out}");
-        for suffix in [".folded", ".heatmap.txt", ".prom", ".flight.jsonl"] {
-            std::fs::remove_file(format!("{p}{suffix}")).ok();
-        }
-    }
-
-    #[test]
-    fn permute_kinds() {
-        for k in ["random", "identity", "reverse"] {
-            let out = run(&format!("permute --n 1024 --mem 64 --block 8 --kind {k}")).unwrap();
-            assert!(out.contains("counting bound"), "{k}");
-        }
-        let out = run("permute --n 1024 --mem 64 --block 8 --kind bit-reversal").unwrap();
-        assert!(out.contains("bit-reversal"));
-        let out = run("permute --n 1024 --mem 64 --block 8 --kind transpose --rows 32").unwrap();
-        assert!(out.contains("transpose"));
-        assert!(run("permute --n 1000 --mem 64 --block 8 --kind bit-reversal").is_err());
-    }
-
-    #[test]
-    fn spmv_shapes() {
-        for s in ["random", "banded", "block-diagonal"] {
-            let out = run(&format!(
-                "spmv --n 128 --delta 2 --mem 64 --block 8 --shape {s}"
-            ))
-            .unwrap();
-            assert!(out.contains("Thm 5.1"), "{s}");
-        }
+        remove_profile_artifacts(p);
     }
 
     #[test]
@@ -1315,10 +1047,15 @@ mod tests {
 
     #[test]
     fn trace_report() {
-        let out = run("trace --n 2048 --mem 64 --block 8 --omega 32 --algo aem").unwrap();
-        assert!(out.contains("ωm-rounds"));
-        assert!(out.contains("aux  I/O"));
-        assert!(run("trace --algo nope --n 10 --mem 64 --block 8").is_err());
+        // The report on a profile record carries what a trace analysis
+        // shows: the ωm-round count and the Lemma 4.1 conversion cost
+        // (round-structure checker) and the per-block re-read histogram.
+        let line = "sort --n 2048 --mem 64 --block 8 --omega 32 --algo aem";
+        let (_, report) = profile_then_report("trace-report", line, "text");
+        assert!(report.contains("rounds, budget"), "{report}");
+        assert!(report.contains("round-based Q"), "{report}");
+        assert!(report.contains("block.rereads"), "{report}");
+        assert!(run("profile sort --algo nope --n 10 --mem 64 --block 8").is_err());
     }
 
     #[test]
@@ -1402,70 +1139,32 @@ mod tests {
         assert!(run("bogus").is_err());
     }
 
-    fn tmp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("aemsim-test-{}-{name}", std::process::id()))
-    }
-
     #[test]
     fn sort_trace_export_then_report() {
-        let path = tmp_path("sort.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!(
-            "sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
-        ))
-        .unwrap();
-        assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
-        assert!(!out.contains("[FAIL]"), "{out}");
-
-        let report = run(&format!("report --in {p}")).unwrap();
+        let line = "sort --n 2048 --mem 64 --block 8 --algo aem";
+        let (_, report) = profile_then_report("sort", line, "text");
         assert!(report.contains("Phases"), "{report}");
         assert!(report.contains("merge-level-1"), "{report}");
-        assert_eq!(report.matches("PASS").count(), 3, "{report}");
-
-        let md = run(&format!("report --in {p} --format md")).unwrap();
+        let (_, md) = profile_then_report("sort-md", line, "md");
         assert!(md.contains("| phase | Q |"), "{md}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn permute_and_spmv_trace_export() {
-        let path = tmp_path("permute.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!(
-            "permute --n 1024 --mem 64 --block 8 --trace-out {p}"
-        ))
-        .unwrap();
-        assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
-        let report = run(&format!("report --in {p}")).unwrap();
+        let line = "permute --algo by-sort --n 1024 --mem 64 --block 8";
+        let (_, report) = profile_then_report("permute", line, "text");
         assert!(report.contains("permute-tag-sort"), "{report}");
-        std::fs::remove_file(&path).ok();
-
-        let path = tmp_path("spmv.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!(
-            "spmv --n 128 --delta 2 --mem 64 --block 8 --trace-out {p}"
-        ))
-        .unwrap();
-        assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
-        let report = run(&format!("report --in {p}")).unwrap();
+        let line = "spmv --algo sorted --n 128 --delta 2 --mem 64 --block 8";
+        let (_, report) = profile_then_report("spmv", line, "text");
         assert!(report.contains("merge-add"), "{report}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_command_export_roundtrips() {
-        let path = tmp_path("trace.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!(
-            "trace --n 2048 --mem 64 --block 8 --algo heap --trace-out {p}"
-        ))
-        .unwrap();
-        assert!(out.contains("trace record:"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rec = RunRecord::from_jsonl(&text).unwrap();
+        let line = "sort --n 2048 --mem 64 --block 8 --algo heap";
+        let (rec, _) = profile_then_report("heap", line, "text");
         assert_eq!(rec.workload.algo, "heap");
         assert!(rec.phases.iter().any(|ph| ph.name == "pq-extract"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1499,9 +1198,10 @@ mod tests {
             assert!(std::fs::read_to_string(format!("{p}.heatmap.txt"))
                 .unwrap()
                 .contains("reads  |"));
-            for suffix in [".folded", ".heatmap.txt", ".prom", ".flight.jsonl"] {
-                std::fs::remove_file(format!("{p}{suffix}")).ok();
-            }
+            assert!(out.contains(".record.jsonl  full run record"), "{out}");
+            let record = std::fs::read_to_string(format!("{p}.record.jsonl")).unwrap();
+            assert_eq!(RunRecord::from_jsonl(&record).unwrap().workload.algo, "aem");
+            remove_profile_artifacts(p);
         }
     }
 
@@ -1513,9 +1213,7 @@ mod tests {
             let out = run(&format!("profile {w} --n 512 --mem 64 --block 8 --out {p}")).unwrap();
             assert!(out.contains("profile artifacts"), "{w}: {out}");
         }
-        for suffix in [".folded", ".heatmap.txt", ".prom", ".flight.jsonl"] {
-            std::fs::remove_file(format!("{p}{suffix}")).ok();
-        }
+        remove_profile_artifacts(p);
         // Payload-dependent workloads refuse the cost-only backend.
         assert!(run("profile permute --n 512 --mem 64 --block 8 --backend ghost").is_err());
         assert!(run("profile spmv --n 128 --mem 64 --block 8 --backend ghost").is_err());
@@ -1550,24 +1248,25 @@ mod tests {
 
     #[test]
     fn report_fails_nonzero_on_checker_violation() {
-        let path = tmp_path("tampered.jsonl");
-        let p = path.to_str().unwrap();
+        let prefix = tmp_path("tampered");
+        let p = prefix.to_str().unwrap();
         run(&format!(
-            "sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
+            "profile sort --n 2048 --mem 64 --block 8 --algo aem --out {p}"
         ))
         .unwrap();
         // Shrink the recorded workload size: the Thm 3.2 predictor upper
         // bound for N=64 is far below the measured N=2048 cost, so the
         // cost-sandwich checker must fail.
+        let path = format!("{p}.record.jsonl");
         let text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replace("\"n\":2048", "\"n\":64");
         assert_ne!(text, tampered, "workload line not found to tamper");
         std::fs::write(&path, tampered).unwrap();
-        let err = run(&format!("report --in {p}")).unwrap_err();
+        let err = run(&format!("report --in {path}")).unwrap_err();
         assert!(err.contains("paper-invariant checker FAILED"), "{err}");
         assert!(err.contains("cost-sandwich"), "{err}");
         assert!(err.contains("flight recorder"), "{err}");
-        std::fs::remove_file(&path).ok();
+        remove_profile_artifacts(p);
     }
 
     #[test]

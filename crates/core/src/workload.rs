@@ -801,18 +801,25 @@ fn sort_keys(n: usize, seed: u64) -> Vec<u64> {
     dist.generate(n)
 }
 
-fn run_sorter(
+/// Run the registered sorter `algo` (`aem|em|dist|heap|pq`) on `r`: the
+/// workspace's one dispatch on sorter names. The registry calls it through
+/// its `dyn` machine; a caller holding a concrete machine gets a
+/// monomorphized copy.
+///
+/// # Panics
+///
+/// On a name the sort kind does not register.
+pub fn run_sorter<A: AemAccess<u64>>(
     algo: &str,
-    m: &mut dyn WorkloadMachine<u64>,
+    m: &mut A,
     r: Region,
 ) -> Result<Region, MachineError> {
-    let mut m = m;
     match algo {
-        "aem" => merge_sort(&mut m, r),
-        "em" => em_merge_sort(&mut m, r),
-        "dist" => distribution_sort(&mut m, r),
-        "heap" => heap_sort(&mut m, r),
-        "pq" => sort_via_pq(&mut m, r),
+        "aem" => merge_sort(m, r),
+        "em" => em_merge_sort(m, r),
+        "dist" => distribution_sort(m, r),
+        "heap" => heap_sort(m, r),
+        "pq" => sort_via_pq(m, r),
         other => unreachable!("unregistered sorter {other}"),
     }
 }
@@ -832,7 +839,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                 ctx,
                 Box::new(move |m| {
                     let r = m.install_atoms(&input);
-                    let out = run_sorter(algo, m, r)?;
+                    let out = {
+                        let mut m2: &mut dyn WorkloadMachine<u64> = m;
+                        run_sorter(algo, &mut m2, r)?
+                    };
                     let got = m.inspect_region(out);
                     if !m.payload_real() {
                         return Ok(Verified::unverified());
@@ -1048,6 +1058,19 @@ pub struct LiveHarness {
     pub backend: Backend,
 }
 
+impl LiveHarness {
+    /// Why this harness refuses `ctx` without running it, if it does: a
+    /// cost-only ghost store cannot run a payload-routed schedule soundly.
+    pub fn refusal(&self, ctx: &RunCtx) -> Option<String> {
+        (self.backend == Backend::Ghost && !ctx.algo.ghost_sound).then(|| {
+            format!(
+                "ghost is unsound for {}/{} (payload-routed schedule)",
+                ctx.kind, ctx.algo.name
+            )
+        })
+    }
+}
+
 impl Harness for LiveHarness {
     type Out = (Cost, u64);
     fn run<T: Payload>(
@@ -1055,11 +1078,8 @@ impl Harness for LiveHarness {
         ctx: &RunCtx,
         body: Body<'_, T>,
     ) -> Result<Self::Out, WorkloadError> {
-        if self.backend == Backend::Ghost && !ctx.algo.ghost_sound {
-            return Err(WorkloadError::Check(format!(
-                "ghost is unsound for {}/{} (payload-routed schedule)",
-                ctx.kind, ctx.algo.name
-            )));
+        if let Some(why) = self.refusal(ctx) {
+            return Err(WorkloadError::Check(why));
         }
         struct Visit<'a, T>(Body<'a, T>);
         impl<T: Payload> MachineVisitor<T> for Visit<'_, T> {
